@@ -164,10 +164,10 @@ def sequential_swor(rng: Rng, dist: CategoricalDist, k: int, size: int | None = 
     out = np.empty((m, k), dtype=int)
     rows = np.arange(m)
     for step in range(k):
-        total = weights.sum(axis=1)
-        u = rng.generator.random(m) * total
+        # The first cdf entry strictly above u * cdf[-1] always carries weight.
         cdf = np.cumsum(weights, axis=1)
-        chosen = np.argmax(cdf >= u[:, None], axis=1)
+        u = rng.generator.random(m) * cdf[:, -1]
+        chosen = np.argmax(cdf > u[:, None], axis=1)
         out[:, step] = chosen
         weights[rows, chosen] = 0.0
     if size is None:

@@ -124,6 +124,26 @@ class TestSequentialSwor:
         for row in idx:
             assert len(set(row.tolist())) == 3
 
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_distinct_at_extreme_uniforms(self, u):
+        """At the ends of [0, 1) the draw must still land on an index that
+        carries weight, so batched rows never repeat an earlier draw."""
+
+        class FixedUniform(Rng):
+            @property
+            def generator(self):
+                return self
+
+            def random(self, size):
+                return np.full(size, u)
+
+        gen = np.random.default_rng(21)
+        for _ in range(2000):
+            n = int(gen.integers(3, 12))
+            d = sg.from_probs(gen.random(n))
+            idx = sequential_swor(FixedUniform(0), d, n, size=2)
+            assert all(len(set(row)) == n for row in idx.tolist())
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_ordering_law_equals_gumbel_top_k(self, n):
         """Both samplers share the successive-renormalization law over all

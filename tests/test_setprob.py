@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import random_dist
-from sworgrad import from_logits, from_probs, loo_ratios, p_set_exact, p_set_integral, p_set_naive
+from sworgrad import (
+    FactorizedDist,
+    Rng,
+    from_logits,
+    from_probs,
+    gumbel_top_k,
+    loo_ratios,
+    p_set_exact,
+    p_set_integral,
+    p_set_naive,
+    stochastic_beam_search,
+)
 from sworgrad.errors import TooManyPermutations, TooManySubsets
 
 RUNNING_P_SET = 18.0 / 35.0  # two-permutation sum: 0.5*0.3/0.5 + 0.3*0.5/0.7
@@ -232,3 +243,42 @@ class TestLooRatios:
         probs = np.exp(running_dist.log_probs[lr.elements]) / 0.5
         posterior = probs * lr.ratios
         np.testing.assert_allclose(np.sum(posterior), 1.0, atol=1e-12)
+
+    def test_exact_subset_guard(self):
+        d = from_logits(np.zeros(30))
+        with pytest.raises(TooManySubsets):
+            loo_ratios(d, tuple(range(21)), backend="exact")
+
+
+def _sampled_set(domain, k):
+    """A fixed high-probability set: Gumbel top-k on a 64-outcome softmax, or
+    a stochastic beam search over a 3 x 10 factorized domain (n = 1000)."""
+    gen = np.random.default_rng(19)
+    if domain == "n64":
+        dist = from_logits(gen.normal(0.0, 1.0, 64))
+        sample, _ = gumbel_top_k(Rng(20), dist, k)
+        return dist, sample.indices
+    fd = FactorizedDist(tuple(gen.normal(0.0, 1.0, 10) for _ in range(3)))
+    sample, _ = stochastic_beam_search(Rng(20), fd, k)
+    return fd.flatten(), sample.indices
+
+
+class TestLargeSets:
+    """``auto`` past the inclusion-exclusion crossover, and ``exact`` on large
+    domains where the alternating sum cancels, against fine quadrature."""
+
+    @pytest.mark.parametrize(
+        "backend,domain,k",
+        [("auto", "n64", 16), ("auto", "n64", 20), ("auto", "n1000", 8), ("auto", "n1000", 16),
+         ("auto", "n1000", 20), ("exact", "n64", 16), ("exact", "n1000", 16)],
+    )
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_fine_quadrature(self, backend, domain, k, order):
+        dist, S = _sampled_set(domain, k)
+        got = loo_ratios(dist, S, order=order, backend=backend)
+        want = loo_ratios(dist, S, order=order, backend="integral", nodes=4001)
+        np.testing.assert_array_equal(got.elements, want.elements)
+        np.testing.assert_allclose(got.ratios, want.ratios, rtol=1e-6)
+        np.testing.assert_allclose(got.log_p_set, want.log_p_set, rtol=1e-6)
+        if order == 2:
+            np.testing.assert_allclose(got.second_order, want.second_order, rtol=1e-6)
