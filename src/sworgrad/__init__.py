@@ -11,7 +11,6 @@ from .distributions import (
     from_logits,
     from_probs,
     grad_log_prob,
-    grad_prob,
     restricted_log_prob,
 )
 from .errors import SworgradError
@@ -25,7 +24,6 @@ from .estimators import (
     reinforce_sampled_baseline,
     reinforce_wr,
     risk_grad,
-    single_sample_estimate,
     stoch_sum_and_sample,
     unordered_set_estimate,
     uspg,
@@ -64,7 +62,6 @@ __all__ = [
     "from_probs",
     "fuspg",
     "grad_log_prob",
-    "grad_prob",
     "gumbel_perturb",
     "gumbel_top_k",
     "importance_weighted",
@@ -79,7 +76,6 @@ __all__ = [
     "restricted_log_prob",
     "risk_grad",
     "sequential_swor",
-    "single_sample_estimate",
     "stoch_sum_and_sample",
     "stochastic_beam_search",
     "unordered_set_estimate",

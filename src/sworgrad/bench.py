@@ -13,8 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,37 +21,16 @@ import numpy as np
 from . import estimators as est
 from . import oracle
 from .distributions import CategoricalDist, FactorizedDist, Objective
-from .errors import InvalidSampleSize
-from .sampling import Rng, gumbel_top_k, sample_with_replacement
-from .setprob import loo_ratios
+from .sampling import Rng
 
 TARGETS = (0.6, 0.51, 0.48)
 NUM_BITS = 3
 DOMAIN = 2**NUM_BITS
 
-EXACT = "exact"
-
 DIVERGENCE_BOUND = 50.0
 
 VARIANCE_CSV_VERSION = "# sworgrad-variance-v1"
 OPTIMIZE_CSV_VERSION = "# sworgrad-optimize-v1"
-
-_SWEEP_IDS = (
-    EXACT,
-    est.SINGLE_SAMPLE,
-    est.UNORDERED_SET,
-    est.UNORDERED_SET_PG,
-    est.UNORDERED_SET_PG_BL,
-    est.FULL_UNORDERED_SET_PG,
-    est.DET_SUM_AND_SAMPLE,
-    est.IMPORTANCE_WEIGHTED,
-    est.IW_PG,
-    est.IW_PG_BL,
-    est.IW_PG_NORM,
-    est.REINFORCE_WR,
-    est.REINFORCE_WR_BL,
-    est.REINFORCE_SAMPLED_BL,
-)
 
 
 def sigmoid(eta: float) -> float:
@@ -127,151 +104,36 @@ def loss_lower_bound(grid: int = 100001) -> float:
 
 
 def evals_for(kind: str, k: int) -> int:
-    if kind == EXACT:
-        return DOMAIN
-    if kind == est.SINGLE_SAMPLE:
-        return 1
-    if kind == est.REINFORCE_SAMPLED_BL:
-        return 2 * k
-    return k
-
-
-def supported_estimators() -> tuple:
-    """Estimator ids the toy harness accepts (plus stoch-sum-and-sample-m*)."""
-    return _SWEEP_IDS
-
-
-def _scalar_us(toy: BernoulliToy, S) -> float:
-    elements, w = est.posterior_weights(toy.flat, S)
-    return float(np.dot(w, toy.score_objective[elements]))
+    return est.estimator_spec(kind).law.evals(k, DOMAIN)
 
 
 def toy_scalar_grad(kind: str, eta: float, k: int, rng: Rng) -> float:
     """One draw of the scalar gradient dL/d-eta under the given estimator.
 
-    Value estimators are applied to the score-weighted objective
-    g(x) = (d log p(x)/d-eta) f(x), which makes the weighted sum an unbiased
-    score-function gradient estimate; gradient estimators with their own
-    baselines are chain-ruled explicitly.  ``exact`` runs the unordered-set
-    weights over the full domain, so a full-domain sample reproduces it
-    bit for bit.
+    The estimator's coefs over its sample are dotted with the centered
+    chain-rule vector: for gradient estimators this is the logit gradient
+    dotted with d(log p)/d-eta, and for value estimators it is the estimate
+    of E[g] for the score-weighted objective g(x) = (d log p(x)/d-eta) f(x),
+    an unbiased score-function gradient.  ``exact`` runs the unordered-set
+    weights over the full domain, so a full-domain sample reproduces it bit
+    for bit.
     """
+    spec = est.estimator_spec(kind)
     toy = make_toy(eta)
-    dist = toy.flat
-    g = toy.score_objective
-    f = toy.f_values
-    jc = toy.centered_jacobian
-
-    if kind == EXACT:
-        return _scalar_us(toy, np.arange(DOMAIN))
-
-    if kind == est.SINGLE_SAMPLE:
-        x = int(sample_with_replacement(rng, dist, 1)[0])
-        return float(g[x])
-
-    m_split = est.parse_stoch_sas(kind)
-    if m_split is not None:
-        if k > DOMAIN:
-            raise InvalidSampleSize(f"k={k} exceeds the toy domain {DOMAIN}")
-        B, _ = gumbel_top_k(rng, dist, k)
-        elements, w = est.sum_and_sample_weights(dist, B.indices, m=m_split)
-        return float(np.dot(w, g[elements]))
-
-    if kind not in _SWEEP_IDS:
-        raise ValueError(f"unknown toy estimator {kind!r}")
-
-    if kind in (est.UNORDERED_SET, est.UNORDERED_SET_PG, est.FULL_UNORDERED_SET_PG):
-        if k > DOMAIN:
-            raise InvalidSampleSize(f"k={k} exceeds the toy domain {DOMAIN}")
-        S, _ = gumbel_top_k(rng, dist, k)
-        return _scalar_us(toy, S.indices)
-
-    if kind == est.UNORDERED_SET_PG_BL:
-        if k > DOMAIN:
-            raise InvalidSampleSize(f"k={k} exceeds the toy domain {DOMAIN}")
-        S, _ = gumbel_top_k(rng, dist, k)
-        lr = loo_ratios(dist, S.indices, order=2)
-        p_el = np.exp(dist.log_probs[lr.elements])
-        w = p_el * lr.ratios
-        b = lr.second_order @ (p_el * f[lr.elements])
-        return float(np.dot(w * jc[lr.elements], f[lr.elements] - b))
-
-    if kind == est.DET_SUM_AND_SAMPLE:
-        C = est.det_sum_and_sample_split(dist, k)
-        head = float(np.dot(dist.probs[C], g[C]))
-        rest_mass = math.exp(dist.complement_log_mass(C))
-        weights = dist.probs.copy()
-        weights[C] = 0.0
-        cdf = np.cumsum(weights)
-        x = int(np.searchsorted(cdf, rng.generator.random() * cdf[-1], side="right").clip(0, DOMAIN - 1))
-        return head + rest_mass * float(g[x])
-
-    if kind in (est.IMPORTANCE_WEIGHTED, est.IW_PG, est.IW_PG_BL, est.IW_PG_NORM):
-        if k > DOMAIN:
-            raise InvalidSampleSize(f"k={k} exceeds the toy domain {DOMAIN}")
-        S, thr = gumbel_top_k(rng, dist, k)
-        elements, r = est.importance_weights(dist, S.to_unordered(), thr)
-        if kind in (est.IMPORTANCE_WEIGHTED, est.IW_PG):
-            return float(np.dot(r, g[elements]))
-        p_el = dist.probs[elements]
-        fv = f[elements]
-        if kind == est.IW_PG_BL:
-            B = float(np.dot(r, fv))
-            coefs = r * (fv * (1.0 - p_el + r) - B)
-        else:
-            W = float(np.sum(r))
-            B = float(np.dot(r, fv))
-            coefs = (r / (W - r + p_el)) * (fv - B / W)
-        return float(np.dot(coefs, jc[elements]))
-
-    # with-replacement family
-    X = sample_with_replacement(rng, dist, k)
-    fv = f[X]
-    if kind == est.REINFORCE_WR:
-        coefs = fv / k
-    elif kind == est.REINFORCE_WR_BL:
-        if k < 2:
-            raise InvalidSampleSize("leave-one-out baseline needs k >= 2")
-        coefs = (fv - (np.sum(fv) - fv) / (k - 1)) / k
-    else:  # sampled baseline
-        Xb = sample_with_replacement(rng, dist, k)
-        coefs = (fv - f[Xb]) / k
-    return float(np.dot(coefs, jc[X]))
+    points, r = spec.law.draw(rng, toy.flat, k)
+    elements, coefs = spec.coefs(toy.flat, points, toy.f_values[points], r)
+    return float(np.dot(coefs, toy.centered_jacobian[elements]))
 
 
 def toy_exact_moments(kind: str, eta: float, k: int):
     """Exact (mean, variance) of the scalar-gradient estimator by enumeration
     (with threshold quadrature where needed)."""
     toy = make_toy(eta)
-    dist = toy.flat
-    g = Objective(toy.score_objective)
-
-    if kind == EXACT:
-        return toy_scalar_grad(EXACT, eta, DOMAIN, Rng(0)), 0.0
-
-    m_split = est.parse_stoch_sas(kind)
-    if m_split is not None:
-        return oracle.estimator_moments(kind, dist, g, k)
-
-    value_equivalent = {
-        est.SINGLE_SAMPLE: est.SINGLE_SAMPLE,
-        est.UNORDERED_SET: est.UNORDERED_SET,
-        est.UNORDERED_SET_PG: est.UNORDERED_SET,
-        est.FULL_UNORDERED_SET_PG: est.UNORDERED_SET,
-        est.DET_SUM_AND_SAMPLE: est.DET_SUM_AND_SAMPLE,
-        est.IMPORTANCE_WEIGHTED: est.IMPORTANCE_WEIGHTED,
-        est.IW_PG: est.IMPORTANCE_WEIGHTED,
-    }
-    if kind in value_equivalent:
-        return oracle.estimator_moments(value_equivalent[kind], dist, g, k)
-
-    if kind in (est.UNORDERED_SET_PG_BL, est.REINFORCE_WR, est.REINFORCE_WR_BL,
-                est.REINFORCE_SAMPLED_BL, est.IW_PG_BL):
-        return oracle.estimator_moments(
-            kind, dist, Objective(toy.f_values), k, project=toy.eta_jacobian
-        )
-
-    raise ValueError(f"no exact moments for toy estimator {kind!r}")
+    if est.estimator_spec(kind).output == est.VALUE:
+        return oracle.estimator_moments(kind, toy.flat, toy.score_objective, k)
+    # The toy loss depends on eta only through p: its pathwise term is zero.
+    f = Objective(toy.f_values, np.zeros((DOMAIN, DOMAIN)))
+    return oracle.estimator_moments(kind, toy.flat, f, k, project=toy.eta_jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -339,23 +201,10 @@ class VarianceReport:
         return groups
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SWORGRAD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _replicate(kind, eta, k, seed, replications):
-    def one(r):
-        return toy_scalar_grad(kind, eta, k, Rng(seed).split(r))
-
-    workers = _worker_count()
-    if workers == 1:
-        return np.array([one(r) for r in range(replications)])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(one, range(replications))))
+    return np.array(
+        [toy_scalar_grad(kind, eta, k, Rng(seed).split(r)) for r in range(replications)]
+    )
 
 
 def variance_sweep(config: dict) -> VarianceReport:

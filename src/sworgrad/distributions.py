@@ -163,11 +163,6 @@ def grad_log_prob(dist: CategoricalDist, x: int) -> np.ndarray:
     return g
 
 
-def grad_prob(dist: CategoricalDist, x: int) -> np.ndarray:
-    """Gradient of p(x) with respect to the logits: p(x) * (onehot(x) - probs)."""
-    return dist.prob(x) * grad_log_prob(dist, x)
-
-
 @dataclass(frozen=True)
 class FactorizedDist:
     """Product of independent categoricals over a multi-dimensional domain.
@@ -285,7 +280,11 @@ class Objective:
         return self._cache[x]
 
     def values_at(self, idx) -> np.ndarray:
-        return np.array([self.value(int(i)) for i in np.asarray(idx).ravel()])
+        """f at each index of ``idx`` (flattened), as a float array."""
+        idx = np.asarray(idx, dtype=int).ravel()
+        if self._table is not None:
+            return self._table[idx]
+        return np.array([self.value(i) for i in idx.tolist()], dtype=float)
 
     def param_grad_at(self, x: int) -> np.ndarray:
         if self._grad_table is not None:

@@ -1,18 +1,26 @@
 """Expectation and policy-gradient estimators built on samples without replacement.
 
-Value estimators (returning a real number) estimate E_p[f]; gradient
-estimators (returning a :class:`GradEstimate`) estimate the gradient of
-E_p[f] with respect to the distribution's logits.  All gradients are
-analytic softmax expressions; no autodiff is involved.
+Every estimator is one weight vector over its sample.  Its formula is written
+once, as a coefs function that maps the sample's evaluation points and the
+objective values there to ``(elements, coefs)``:
 
-Each value estimator is a weighted sum sum_s w(s) f(s) over its sample, and
-its weight vector is exposed separately (``*_weights``) so that score-function
-gradient forms  sum_s w(s) grad-log-p(s) f(s)  can reuse the same weights.
+* a value estimate of E_p[f] is ``coefs.sum()``;
+* a gradient estimate of grad E_p[f] with respect to the logits is the
+  score-weighted sum ``sum_e coefs[e] * (onehot(e) - probs)``;
+* the toy harness's scalar gradient is ``coefs . centered_jacobian[elements]``.
+
+``ESTIMATORS`` maps each estimator id to its sampling law (how the sample is
+drawn and how many objective evaluations it takes), its coefs function and
+its output kind.  The public functions below, the toy harness and the exact
+oracle all go through it.  All gradients are analytic softmax expressions;
+no autodiff is involved.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,9 +34,10 @@ from .errors import (
     NoParameterization,
     NoPathwiseGradient,
 )
-from .sampling import OrderedSample, Rng, Threshold
+from .sampling import OrderedSample, Rng, Threshold, gumbel_top_k, sample_with_replacement
 from .setprob import loo_ratios
 
+EXACT = "exact"
 SINGLE_SAMPLE = "single-sample"
 UNORDERED_SET = "unordered-set"
 UNORDERED_SET_PG = "unordered-set-pg"
@@ -105,11 +114,6 @@ def _kappa_of(kappa) -> float | None:
     return float(kappa)
 
 
-def _values(f, elements) -> np.ndarray:
-    obj = as_objective(f)
-    return np.array([obj.value(int(s)) for s in elements])
-
-
 def _require_logits(dist: CategoricalDist):
     if not dist.has_logits():
         raise NoParameterization("gradient estimators need a logits parameterization")
@@ -123,13 +127,7 @@ def _score_sum(dist: CategoricalDist, elements: np.ndarray, coefs: np.ndarray) -
 
 
 # ---------------------------------------------------------------------------
-# value estimators
-
-
-def single_sample_estimate(dist: CategoricalDist, x, f) -> float:
-    """f at the first drawn element; the crudest unbiased estimate of E[f]."""
-    idx = _indices_of(x)
-    return float(_values(f, idx[:1])[0])
+# sample weights
 
 
 def posterior_weights(dist: CategoricalDist, S, *, exclude=(), backend="auto"):
@@ -138,22 +136,15 @@ def posterior_weights(dist: CategoricalDist, S, *, exclude=(), backend="auto"):
     The weights always sum to 1 up to rounding.
     """
     lr = loo_ratios(dist, S, order=1, backend=backend, exclude=exclude)
-    lp = np.array([dist.log_probs[s] for s in lr.elements])
-    exclude = _indices_of(exclude)
+    lp = dist.log_probs[lr.elements]
     if len(exclude):
-        lp = lp - dist.complement_log_mass(exclude)
+        lp = lp - dist.complement_log_mass(_indices_of(exclude))
     return lr.elements, np.exp(lp) * lr.ratios
 
 
-def unordered_set_estimate(dist: CategoricalDist, S, f) -> float:
-    """sum_{s in S} p(s) R(S, s) f(s): the conditional mean of f at the first
-    draw given the unordered sample, hence unbiased for E[f]."""
-    elements, w = posterior_weights(dist, S)
-    return float(np.dot(w, _values(f, elements)))
-
-
 def sum_and_sample_weights(dist: CategoricalDist, B, m: int = 1):
-    """Weights of the stochastic sum-and-sample estimator with split m.
+    """Weights of the stochastic sum-and-sample estimator with split m, in the
+    draw order of B: ``(indices of B, weights)``.
 
     The first k-m drawn elements contribute their exact probabilities; the
     remaining mass is spread over the last m elements using the restricted
@@ -164,18 +155,12 @@ def sum_and_sample_weights(dist: CategoricalDist, B, m: int = 1):
     if not 1 <= m < k:
         raise InvalidSplit(f"need 1 <= m < k, got m={m}, k={k}")
     head = idx[: k - m]
-    head_w = np.exp(dist.log_probs[head])
     rest_mass = math.exp(dist.complement_log_mass(head))
-    tail_elems, tail_post = posterior_weights(dist, np.sort(idx), exclude=head)
-    tail_w = rest_mass * tail_post
-    return np.concatenate([head, tail_elems]), np.concatenate([head_w, tail_w])
-
-
-def stoch_sum_and_sample(dist: CategoricalDist, B, f, m: int = 1) -> float:
-    """Sum the first k-m drawn terms exactly; estimate the remainder from the
-    last m draws via the restricted unordered set estimator."""
-    elements, w = sum_and_sample_weights(dist, B, m)
-    return float(np.dot(w, _values(f, elements)))
+    _, tail_post = posterior_weights(dist, np.sort(idx), exclude=head)
+    w = np.empty(k)
+    w[: k - m] = np.exp(dist.log_probs[head])
+    w[k - m + np.argsort(idx[k - m:], kind="stable")] = rest_mass * tail_post
+    return idx, w
 
 
 def det_sum_and_sample_split(dist: CategoricalDist, k: int) -> np.ndarray:
@@ -183,21 +168,6 @@ def det_sum_and_sample_split(dist: CategoricalDist, k: int) -> np.ndarray:
     if not 2 <= k <= dist.n:
         raise InvalidSampleSize(f"k={k} outside [2, {dist.n}]")
     return np.argsort(-dist.probs, kind="stable")[: k - 1]
-
-
-def det_sum_and_sample(dist: CategoricalDist, f, k: int, rng: Rng) -> float:
-    """Sum the top k-1 categories by probability exactly and draw one sample
-    from the renormalized remainder."""
-    C = det_sum_and_sample_split(dist, k)
-    probs = dist.probs
-    fv_head = _values(f, C)
-    head = float(np.dot(probs[C], fv_head))
-    rest_mass = math.exp(dist.complement_log_mass(C))
-    weights = probs.copy()
-    weights[C] = 0.0
-    cdf = np.cumsum(weights)
-    x = int(np.searchsorted(cdf, rng.generator.random() * cdf[-1], side="right").clip(0, dist.n - 1))
-    return head + rest_mass * float(_values(f, [x])[0])
 
 
 def inclusion_probs(dist: CategoricalDist, elements, kappa) -> np.ndarray:
@@ -234,10 +204,261 @@ def importance_weights(dist: CategoricalDist, S, kappa):
     return elements, np.exp(dist.log_probs[elements]) / q
 
 
+# ---------------------------------------------------------------------------
+# coefs functions
+#
+# Each maps (dist, points, fv, r) to (elements, coefs): ``points`` are the
+# sample's evaluation points in the order its law draws them, ``fv`` the
+# objective at those points, and ``r`` the importance weights p/q of the
+# threshold law (None for every other law).  The threshold formulas broadcast
+# over leading axes of ``r``: the oracle passes one row per quadrature node.
+
+
+def _posterior_coefs(dist, S, fv, r=None):
+    elements, w = posterior_weights(dist, S)
+    return elements, w * fv
+
+
+def _baseline_terms(dist, S, fv):
+    """Elements, first-draw posterior w and the leave-one-out baseline b of
+    every element, estimated from the others by second-order ratios."""
+    if len(S) < 2:
+        raise NeedTwoSamples("the built-in baseline needs at least two samples")
+    lr = loo_ratios(dist, S, order=2)
+    p_el = np.exp(dist.log_probs[lr.elements])
+    return lr.elements, p_el * lr.ratios, lr.second_order @ (p_el * fv)
+
+
+def _uspg_baseline_coefs(dist, S, fv, r=None):
+    elements, w, b = _baseline_terms(dist, S, fv)
+    return elements, w * (fv - b)
+
+
+def _stoch_sas_coefs(dist, B, fv, r=None, *, m):
+    elements, w = sum_and_sample_weights(dist, B, m)
+    return elements, w * fv
+
+
+def _det_sas_coefs(dist, points, fv, r=None):
+    """``points`` are the deterministic head followed by the one sampled
+    element, which stands for the mass outside the head."""
+    head = points[:-1]
+    w = np.append(dist.probs[head], math.exp(dist.complement_log_mass(head)))
+    return points, w * fv
+
+
+def _iw_coefs(dist, S, fv, r):
+    return S, r * fv
+
+
+def _iw_baseline_coefs(dist, S, fv, r):
+    """Each term is reweighted by 1 - p(s) + p(s)/q(s) to correct for the
+    sample-dependent baseline B = sum_s r(s) f(s), keeping it unbiased."""
+    p_el = np.exp(dist.log_probs[S])
+    return S, r * (fv * (1.0 - p_el + r) - (r @ fv)[..., None])
+
+
+def _iw_normalized_coefs(dist, S, fv, r):
+    """Per-term normalizers W - r(s) + p(s): biased, lower variance."""
+    p_el = np.exp(dist.log_probs[S])
+    W = np.sum(r, axis=-1, keepdims=True)
+    return S, (r / (W - r + p_el)) * (fv - (r @ fv)[..., None] / W)
+
+
+def _reinforce_coefs(dist, X, fv, r=None):
+    return X, fv / len(X)
+
+
+def _reinforce_baseline_coefs(dist, X, fv, r=None):
+    """Each draw centered by the mean objective of the other k-1 draws."""
+    k = len(X)
+    if k < 2:
+        raise NeedTwoSamples("the leave-one-out baseline needs at least two samples")
+    return X, (fv - (np.sum(fv) - fv) / (k - 1)) / k
+
+
+def _paired_baseline_coefs(dist, points, fv, r=None):
+    """``points`` are k draws followed by their k paired baseline draws."""
+    k = len(points) // 2
+    return points[:k], (fv[:k] - fv[k:]) / k
+
+
+def _risk_coefs(dist, S, fv, r=None):
+    """p(s)/W with W = sum_S p, differentiated explicitly, normalizer included."""
+    p_el = np.exp(dist.log_probs[S])
+    W = float(np.sum(p_el))
+    return S, fv * p_el / W - (float(np.dot(p_el, fv)) / W**2) * p_el
+
+
+def _risk_baseline_coefs(dist, S, fv, r=None):
+    """The same gradient with the normalizer's term as a built-in baseline."""
+    p_el = np.exp(dist.log_probs[S])
+    W = float(np.sum(p_el))
+    return S, (p_el / W) * (fv - float(np.dot(p_el / W, fv)))
+
+
+# ---------------------------------------------------------------------------
+# sampling laws
+#
+# ``draw(rng, dist, k)`` returns ``(points, r)`` as the coefs functions take
+# them; ``evals(k, n)`` is the number of points.
+
+
+class Law(NamedTuple):
+    draw: Callable
+    evals: Callable
+
+
+def _draw_set(rng, dist, k):
+    S, _ = gumbel_top_k(rng, dist, k)
+    return np.sort(S.indices), None
+
+
+def _draw_ordered(rng, dist, k):
+    B, _ = gumbel_top_k(rng, dist, k)
+    return B.indices, None
+
+
+def _draw_threshold(rng, dist, k):
+    S, threshold = gumbel_top_k(rng, dist, k)
+    return importance_weights(dist, S.to_unordered(), threshold)
+
+
+def _draw_with_replacement(rng, dist, k):
+    return sample_with_replacement(rng, dist, k), None
+
+
+def _draw_paired(rng, dist, k):
+    X = sample_with_replacement(rng, dist, k)
+    return np.concatenate([X, sample_with_replacement(rng, dist, k)]), None
+
+
+def _draw_det_split(rng, dist, k):
+    C = det_sum_and_sample_split(dist, k)
+    weights = dist.probs.copy()
+    weights[C] = 0.0
+    cdf = np.cumsum(weights)
+    x = np.searchsorted(cdf, rng.generator.random() * cdf[-1], side="right").clip(0, dist.n - 1)
+    return np.append(C, x), None
+
+
+def _draw_single(rng, dist, k):
+    return sample_with_replacement(rng, dist, 1), None
+
+
+def _draw_full(rng, dist, k):
+    return np.arange(dist.n), None
+
+
+SET = Law(_draw_set, lambda k, n: k)
+ORDERED = Law(_draw_ordered, lambda k, n: k)
+THRESHOLD = Law(_draw_threshold, lambda k, n: k)
+WITH_REPLACEMENT = Law(_draw_with_replacement, lambda k, n: k)
+PAIRED = Law(_draw_paired, lambda k, n: 2 * k)
+DET_SPLIT = Law(_draw_det_split, lambda k, n: k)
+SINGLE = Law(_draw_single, lambda k, n: 1)
+FULL = Law(_draw_full, lambda k, n: n)
+
+# Output kinds: a value estimate of E[f], a logit gradient, or a logit
+# gradient plus the pathwise term of an objective that depends on the logits.
+VALUE = "value"
+GRADIENT = "gradient"
+PATHWISE = "gradient+pathwise"
+
+
+class EstimatorSpec(NamedTuple):
+    law: Law
+    coefs: Callable
+    output: str
+    # Smallest k with finite variance.  Only threshold-law estimators set it
+    # above 1: their importance weights p/q are heavy-tailed.
+    finite_var_k: int = 1
+
+
+ESTIMATORS = {
+    EXACT: EstimatorSpec(FULL, _posterior_coefs, GRADIENT),
+    SINGLE_SAMPLE: EstimatorSpec(SINGLE, _reinforce_coefs, VALUE),
+    UNORDERED_SET: EstimatorSpec(SET, _posterior_coefs, VALUE),
+    UNORDERED_SET_PG: EstimatorSpec(SET, _posterior_coefs, GRADIENT),
+    UNORDERED_SET_PG_BL: EstimatorSpec(SET, _uspg_baseline_coefs, GRADIENT),
+    FULL_UNORDERED_SET_PG: EstimatorSpec(SET, _posterior_coefs, PATHWISE),
+    DET_SUM_AND_SAMPLE: EstimatorSpec(DET_SPLIT, _det_sas_coefs, VALUE),
+    IMPORTANCE_WEIGHTED: EstimatorSpec(THRESHOLD, _iw_coefs, VALUE, finite_var_k=2),
+    IW_PG: EstimatorSpec(THRESHOLD, _iw_coefs, GRADIENT, finite_var_k=2),
+    IW_PG_BL: EstimatorSpec(THRESHOLD, _iw_baseline_coefs, GRADIENT, finite_var_k=4),
+    IW_PG_NORM: EstimatorSpec(THRESHOLD, _iw_normalized_coefs, GRADIENT),
+    REINFORCE_WR: EstimatorSpec(WITH_REPLACEMENT, _reinforce_coefs, GRADIENT),
+    REINFORCE_WR_BL: EstimatorSpec(WITH_REPLACEMENT, _reinforce_baseline_coefs, GRADIENT),
+    REINFORCE_SAMPLED_BL: EstimatorSpec(PAIRED, _paired_baseline_coefs, GRADIENT),
+    RISK: EstimatorSpec(SET, _risk_coefs, GRADIENT),
+    RISK_BL_FORM: EstimatorSpec(SET, _risk_baseline_coefs, GRADIENT),
+}
+
+
+def estimator_spec(estimator_id: str) -> EstimatorSpec:
+    """The table entry of an id; ``stoch-sum-and-sample-m{m}`` for any m."""
+    spec = ESTIMATORS.get(estimator_id)
+    if spec is not None:
+        return spec
+    m = parse_stoch_sas(estimator_id)
+    if m is None:
+        raise ValueError(f"unknown estimator {estimator_id!r}")
+    return EstimatorSpec(ORDERED, functools.partial(_stoch_sas_coefs, m=m), VALUE)
+
+
+def _estimate(spec: EstimatorSpec, dist: CategoricalDist, points, obj, r=None):
+    """One sample's estimate: a float for value estimators, else the logit
+    gradient."""
+    if spec.output != VALUE:
+        _require_logits(dist)
+    if spec.output == PATHWISE and not obj.has_param_grad:
+        raise NoPathwiseGradient("objective provides no parameter gradient")
+    elements, coefs = spec.coefs(dist, points, obj.values_at(points), r)
+    if spec.output == VALUE:
+        return float(np.sum(coefs))
+    grad = _score_sum(dist, elements, coefs)
+    if spec.output == PATHWISE:
+        # The estimators are linear in f, so their weights are the coefs at f = 1.
+        _, w = spec.coefs(dist, points, np.ones(len(points)), r)
+        for s, ws in zip(elements, w):
+            grad = grad + ws * obj.param_grad_at(int(s))
+    return grad
+
+
+def _grad_estimate(estimator_id, dist, points, f, k, r=None, seed=None) -> GradEstimate:
+    spec = ESTIMATORS[estimator_id]
+    grad = _estimate(spec, dist, points, as_objective(f), r)
+    return GradEstimate(grad, estimator_id, k=k, evals=spec.law.evals(k, dist.n), seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# value estimators
+
+
+def unordered_set_estimate(dist: CategoricalDist, S, f) -> float:
+    """sum_{s in S} p(s) R(S, s) f(s): the conditional mean of f at the first
+    draw given the unordered sample, hence unbiased for E[f]."""
+    return _estimate(ESTIMATORS[UNORDERED_SET], dist, _sorted_set(S, dist.n), as_objective(f))
+
+
+def stoch_sum_and_sample(dist: CategoricalDist, B, f, m: int = 1) -> float:
+    """Sum the first k-m drawn terms exactly; estimate the remainder from the
+    last m draws via the restricted unordered set estimator."""
+    return _estimate(estimator_spec(stoch_sas_id(m)), dist, _indices_of(B), as_objective(f))
+
+
+def det_sum_and_sample(dist: CategoricalDist, f, k: int, rng: Rng) -> float:
+    """Sum the top k-1 categories by probability exactly and draw one sample
+    from the renormalized remainder."""
+    spec = ESTIMATORS[DET_SUM_AND_SAMPLE]
+    points, _ = spec.law.draw(rng, dist, k)
+    return _estimate(spec, dist, points, as_objective(f))
+
+
 def importance_weighted(dist: CategoricalDist, S, kappa, f) -> float:
     """Priority-sampling estimate sum_{s in S} p(s)/q(s, kappa) f(s)."""
-    elements, w = importance_weights(dist, S, kappa)
-    return float(np.dot(w, _values(f, elements)))
+    elements, r = importance_weights(dist, S, kappa)
+    return _estimate(ESTIMATORS[IMPORTANCE_WEIGHTED], dist, elements, as_objective(f), r)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +467,8 @@ def importance_weighted(dist: CategoricalDist, S, kappa, f) -> float:
 
 def uspg(dist: CategoricalDist, S, f, *, seed: int | None = None) -> GradEstimate:
     """Unordered-set policy gradient: sum_s grad-p(s) R(S, s) f(s)."""
-    _require_logits(dist)
-    elements, w = posterior_weights(dist, S)
-    coefs = w * _values(f, elements)
-    grad = _score_sum(dist, elements, coefs)
-    return GradEstimate(grad, UNORDERED_SET_PG, k=len(elements), evals=len(elements), seed=seed)
-
-
-def _baseline_per_element(dist, elements, second_order, fv):
-    p_el = np.exp(dist.log_probs[elements])
-    return second_order @ (p_el * fv)
+    S = _sorted_set(S, dist.n)
+    return _grad_estimate(UNORDERED_SET_PG, dist, S, f, len(S), seed=seed)
 
 
 def uspg_baseline(dist: CategoricalDist, S, f, *, seed: int | None = None) -> GradEstimate:
@@ -266,45 +479,24 @@ def uspg_baseline(dist: CategoricalDist, S, f, *, seed: int | None = None) -> Gr
     constant (no gradient flows through it), which keeps the estimator
     unbiased.
     """
-    _require_logits(dist)
-    elements = _sorted_set(S, dist.n)
-    if len(elements) < 2:
-        raise NeedTwoSamples("the built-in baseline needs at least two samples")
-    lr = loo_ratios(dist, elements, order=2)
-    p_el = np.exp(dist.log_probs[lr.elements])
-    w = p_el * lr.ratios
-    fv = _values(f, lr.elements)
-    b = _baseline_per_element(dist, lr.elements, lr.second_order, fv)
-    grad = _score_sum(dist, lr.elements, w * (fv - b))
-    return GradEstimate(grad, UNORDERED_SET_PG_BL, k=len(elements), evals=len(elements), seed=seed)
+    S = _sorted_set(S, dist.n)
+    return _grad_estimate(UNORDERED_SET_PG_BL, dist, S, f, len(S), seed=seed)
 
 
 def uspg_baseline_control_variate(dist: CategoricalDist, S, f) -> np.ndarray:
     """The subtracted control-variate term of the baseline estimator,
     sum_s grad-p(s) R(S, s) * baseline(s); its expectation over S is zero."""
     _require_logits(dist)
-    elements = _sorted_set(S, dist.n)
-    lr = loo_ratios(dist, elements, order=2)
-    p_el = np.exp(dist.log_probs[lr.elements])
-    w = p_el * lr.ratios
-    fv = _values(f, lr.elements)
-    b = _baseline_per_element(dist, lr.elements, lr.second_order, fv)
-    return _score_sum(dist, lr.elements, w * b)
+    S = _sorted_set(S, dist.n)
+    elements, w, b = _baseline_terms(dist, S, as_objective(f).values_at(S))
+    return _score_sum(dist, elements, w * b)
 
 
 def fuspg(dist: CategoricalDist, S, f, *, seed: int | None = None) -> GradEstimate:
     """Unordered-set policy gradient plus the pathwise term for objectives
     that depend on the parameters: sum_s R(S, s) grad(p(s) f(s))."""
-    _require_logits(dist)
-    obj = as_objective(f)
-    if not obj.has_param_grad:
-        raise NoPathwiseGradient("objective provides no parameter gradient")
-    elements, w = posterior_weights(dist, S)
-    fv = _values(obj, elements)
-    grad = _score_sum(dist, elements, w * fv)
-    for s, ws in zip(elements, w):
-        grad = grad + ws * obj.param_grad_at(int(s))
-    return GradEstimate(grad, FULL_UNORDERED_SET_PG, k=len(elements), evals=len(elements), seed=seed)
+    S = _sorted_set(S, dist.n)
+    return _grad_estimate(FULL_UNORDERED_SET_PG, dist, S, f, len(S), seed=seed)
 
 
 def reinforce_wr(
@@ -312,21 +504,11 @@ def reinforce_wr(
 ) -> GradEstimate:
     """REINFORCE on k independent draws, optionally centering each term by
     the mean objective of the other k-1 draws."""
-    _require_logits(dist)
-    idx = _indices_of(X)
-    k = len(idx)
-    if k < 1:
+    X = _indices_of(X)
+    if len(X) < 1:
         raise InvalidSampleSize("need at least one sample")
-    fv = _values(f, idx)
-    if baseline:
-        if k < 2:
-            raise NeedTwoSamples("the leave-one-out baseline needs at least two samples")
-        b = (np.sum(fv) - fv) / (k - 1)
-    else:
-        b = np.zeros(k)
-    grad = _score_sum(dist, idx, (fv - b) / k)
     eid = REINFORCE_WR_BL if baseline else REINFORCE_WR
-    return GradEstimate(grad, eid, k=k, evals=k, seed=seed)
+    return _grad_estimate(eid, dist, X, f, len(X), seed=seed)
 
 
 def reinforce_sampled_baseline(
@@ -334,16 +516,12 @@ def reinforce_sampled_baseline(
 ) -> GradEstimate:
     """REINFORCE where each draw is centered by an independent paired draw;
     consumes 2k objective evaluations."""
-    _require_logits(dist)
-    idx = _indices_of(X)
-    idx_b = _indices_of(X_baseline)
-    if len(idx) != len(idx_b):
-        raise BaselineSizeMismatch(f"{len(idx)} samples vs {len(idx_b)} baseline samples")
-    k = len(idx)
-    fv = _values(f, idx)
-    fb = _values(f, idx_b)
-    grad = _score_sum(dist, idx, (fv - fb) / k)
-    return GradEstimate(grad, REINFORCE_SAMPLED_BL, k=k, evals=2 * k, seed=seed)
+    X = _indices_of(X)
+    X_baseline = _indices_of(X_baseline)
+    if len(X) != len(X_baseline):
+        raise BaselineSizeMismatch(f"{len(X)} samples vs {len(X_baseline)} baseline samples")
+    points = np.concatenate([X, X_baseline])
+    return _grad_estimate(REINFORCE_SAMPLED_BL, dist, points, f, len(X), seed=seed)
 
 
 def risk_grad(
@@ -356,23 +534,11 @@ def risk_grad(
     identical form in which the normalizer gradient appears as a built-in
     baseline.
     """
-    _require_logits(dist)
-    elements = _sorted_set(S, dist.n)
-    p_el = np.exp(dist.log_probs[elements])
-    fv = _values(f, elements)
-    W = float(np.sum(p_el))
-    if form == "direct":
-        term_a = _score_sum(dist, elements, fv * p_el / W)
-        total_score = _score_sum(dist, elements, p_el)
-        grad = term_a - (float(np.dot(p_el, fv)) / W**2) * total_score
-        eid = RISK
-    elif form == "baseline":
-        base = float(np.dot(p_el / W, fv))
-        grad = _score_sum(dist, elements, (p_el / W) * (fv - base))
-        eid = RISK_BL_FORM
-    else:
+    eid = {"direct": RISK, "baseline": RISK_BL_FORM}.get(form)
+    if eid is None:
         raise ValueError(f"form must be 'direct' or 'baseline', got {form!r}")
-    return GradEstimate(grad, eid, k=len(elements), evals=len(elements), seed=seed)
+    S = _sorted_set(S, dist.n)
+    return _grad_estimate(eid, dist, S, f, len(S), seed=seed)
 
 
 def iwpg(
@@ -393,22 +559,6 @@ def iwpg(
     for the sample-dependent baseline, keeping it unbiased.  The normalized
     variant divides by per-term normalizers (biased, lower variance).
     """
-    _require_logits(dist)
     elements, r = importance_weights(dist, S, kappa)
-    p_el = np.exp(dist.log_probs[elements])
-    fv = _values(f, elements)
-    if normalized:
-        W = float(np.sum(r))
-        B = float(np.dot(r, fv))
-        W_i = W - r + p_el
-        coefs = (r / W_i) * (fv - B / W)
-        eid = IW_PG_NORM
-    elif baseline:
-        B = float(np.dot(r, fv))
-        coefs = r * (fv * (1.0 - p_el + r) - B)
-        eid = IW_PG_BL
-    else:
-        coefs = r * fv
-        eid = IW_PG
-    grad = _score_sum(dist, elements, coefs)
-    return GradEstimate(grad, eid, k=len(elements), evals=len(elements), seed=seed)
+    eid = IW_PG_NORM if normalized else IW_PG_BL if baseline else IW_PG
+    return _grad_estimate(eid, dist, elements, f, len(elements), r, seed=seed)

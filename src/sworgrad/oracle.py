@@ -18,7 +18,6 @@ from . import estimators as est
 from .distributions import CategoricalDist, Objective, as_objective, from_logits
 from .errors import DomainTooLarge, SpaceTooLarge
 from .sampling import OrderedSample, UnorderedSample
-from .setprob import p_set_exact, posterior_first_draw
 
 DOMAIN_CAP = 10**6
 SPACE_CAP = 10**6
@@ -40,7 +39,7 @@ def exact_expectation(dist: CategoricalDist, f) -> float:
     """E[f] by full summation over the domain."""
     if dist.n > DOMAIN_CAP:
         raise DomainTooLarge(f"domain size {dist.n} exceeds {DOMAIN_CAP}")
-    fv = _all_values(dist, f)
+    fv = as_objective(f).values_at(np.arange(dist.n))
     return float(np.dot(dist.probs, fv))
 
 
@@ -50,7 +49,7 @@ def exact_gradient(dist: CategoricalDist, f) -> np.ndarray:
     if dist.n > DOMAIN_CAP:
         raise DomainTooLarge(f"domain size {dist.n} exceeds {DOMAIN_CAP}")
     obj = as_objective(f)
-    fv = _all_values(dist, obj)
+    fv = obj.values_at(np.arange(dist.n))
     probs = dist.probs
     pf = probs * fv
     grad = pf - float(np.sum(pf)) * probs
@@ -58,11 +57,6 @@ def exact_gradient(dist: CategoricalDist, f) -> np.ndarray:
         for x in range(dist.n):
             grad = grad + probs[x] * obj.param_grad_at(x)
     return grad
-
-
-def _all_values(dist, f) -> np.ndarray:
-    obj = as_objective(f)
-    return np.array([obj.value(x) for x in range(dist.n)])
 
 
 def _ordered_chain_prob(probs: np.ndarray, perm) -> float:
@@ -103,11 +97,6 @@ def enumerate_unordered(dist: CategoricalDist, k: int) -> EnumeratedSampleSpace:
     return EnumeratedSampleSpace(entries, float(math.fsum(p for _, p in entries)))
 
 
-def posterior_b1(dist: CategoricalDist, S) -> np.ndarray:
-    """P(first draw = s | sampled set S) for each s in S (ascending)."""
-    return posterior_first_draw(dist, S)
-
-
 # ---------------------------------------------------------------------------
 # threshold quadrature
 
@@ -129,11 +118,13 @@ def _romberg_row(vals: np.ndarray) -> np.ndarray:
     return row[0]
 
 
-def _adaptive_trapezoid(func, tol: float, start_nodes: int = 129, max_nodes: int = 33025):
+def _adaptive_trapezoid(func, tol: float, start_nodes: int = 129, max_nodes: int = 65537):
     """Extrapolated trapezoid on [0, 1] with node doubling until convergence.
 
     ``func`` maps an array of nodes in (0, 1) to integrand values of shape
     ``(len(nodes), ...)``; endpoint values are taken just inside the interval.
+    The node count runs 129, 257, ..., 65537; at ``max_nodes`` the last
+    estimate is returned even if it has not converged.
     """
     nodes = start_nodes
     prev = None
@@ -178,95 +169,74 @@ def _kappa_path(dist: CategoricalDist, S_idx):
     return kappa_of, weight_of
 
 
-def _log_q_matrix(dist, S_idx, kappas) -> np.ndarray:
-    """log q(s, kappa) for every s in S and node kappa; shape (nodes, k)."""
-    t = np.minimum(np.subtract.outer(kappas, dist.log_probs[S_idx]) * -1.0, 700.0)
-    with np.errstate(divide="ignore"):
-        q = -np.expm1(-np.exp(t))
-        return np.log(q)
+def _q_matrix(dist, S_idx, kappas) -> np.ndarray:
+    """q(s, kappa) for every node kappa and s in S; shape (nodes, k).
+
+    It is the transpose of a (k, nodes) array, so elementwise work over it
+    runs along the long node axis rather than across the k elements."""
+    t = np.minimum(dist.log_probs[S_idx][:, None] - kappas, 700.0)
+    return (-np.expm1(-np.exp(t))).T
 
 
-def _iw_set_contributions(dist, S_idx, fv, tol, want_second):
-    """(integral of w*e, integral of w*e^2) over the threshold given S, where
-    w is the set-conditional weight prod_s q; dividing by p(S) gives the
-    conditional moments.  Summed over all sets these integrate to the
-    unconditional moments directly."""
-    p_el = np.exp(dist.log_probs[S_idx])
-    kappa_of, weight_of = _kappa_path(dist, S_idx)
+def _threshold_integrals(spec, dist, S_idx, fv, tol, out_map, want_second):
+    """Integrals over the threshold given S of w * out and, if asked, of
+    w * |out|^2, where w is the set-conditional weight prod_s q and
+    out = coefs @ out_map maps the estimator's coefs at each quadrature node
+    (one row of importance weights per node) to its output.  Dividing by
+    p(S) gives conditional moments; summed over all sets they are the
+    unconditional moments.
 
-    def integrand(v):
-        lq = _log_q_matrix(dist, S_idx, kappa_of(v))
-        w = weight_of(v) * np.exp(np.sum(lq, axis=1))
-        e = (p_el * fv) @ np.exp(-lq).T
-        cols = [w * e]
-        if want_second:
-            cols.append(w * e * e)
-        return np.stack(cols, axis=1)
-
-    out = _adaptive_trapezoid(integrand, tol)
-    return (float(out[0]), float(out[1]) if want_second else None)
-
-
-def _iwpg_set_contributions(dist, S_idx, fv, variant, tol, gram):
-    """Vector analogue for the importance-weighted policy gradients.
-
-    Returns the integral of w * coefs (one score coefficient per element) and,
-    when ``gram`` is given, the integral of the squared-norm integrand
-    w * coefs' gram coefs.
+    A value's mean is integrated as one column.  A gradient's mean is
+    integrated per coefficient and mapped afterwards, so quadrature converges
+    on the coefficients' scale even where a projected gradient cancels to
+    almost zero.
     """
     p_el = np.exp(dist.log_probs[S_idx])
     kappa_of, weight_of = _kappa_path(dist, S_idx)
+    per_coef = spec.output != est.VALUE
 
-    def coef_matrix(v):
-        lq = _log_q_matrix(dist, S_idx, kappa_of(v))
-        w = weight_of(v) * np.exp(np.sum(lq, axis=1))
-        r = p_el * np.exp(-lq)
-        if variant == est.IW_PG:
-            coefs = r * fv
-        else:
-            B = r @ fv
-            coefs = r * (fv * (1.0 - p_el + r) - B[:, None])
-        return w, coefs
+    def integrand(v):
+        q = _q_matrix(dist, S_idx, kappa_of(v))
+        with np.errstate(divide="ignore"):
+            w = weight_of(v) * np.exp(np.sum(np.log(q), axis=1))
+            _, coefs = spec.coefs(dist, S_idx, fv, p_el / q)
+        out = coefs @ out_map
+        cols = [w[:, None] * (coefs if per_coef else out)]
+        if want_second:
+            cols.append((w * np.sum(out * out, axis=1))[:, None])
+        return np.concatenate(cols, axis=1)
 
-    def mean_integrand(v):
-        w, coefs = coef_matrix(v)
-        return w[:, None] * coefs
-
-    coef_int = _adaptive_trapezoid(mean_integrand, tol)
-
-    second = None
-    if gram is not None:
-
-        def second_integrand(v):
-            w, coefs = coef_matrix(v)
-            return (w * np.einsum("ui,ij,uj->u", coefs, gram, coefs))[:, None]
-
-        second = float(_adaptive_trapezoid(second_integrand, tol)[0])
-    return coef_int, second
+    total = _adaptive_trapezoid(integrand, tol)
+    mean = total[: len(S_idx)] @ out_map if per_coef else total[: out_map.shape[1]]
+    return mean, (float(total[-1]) if want_second else None)
 
 
-def _score_gram(dist, elements):
-    """Gram matrix of the score vectors (onehot(s) - probs) over elements."""
-    n = dist.n
+def _score_vectors(dist, elements):
+    """The score vectors onehot(s) - probs of the elements, one per row."""
     vecs = -np.tile(dist.probs, (len(elements), 1))
     vecs[np.arange(len(elements)), elements] += 1.0
-    return vecs @ vecs.T
+    return vecs
+
+
+def _set_prob_by_orderings(dist: CategoricalDist, S_idx) -> float:
+    """p(S) as the chain-rule sum over the orderings of S."""
+    count = math.factorial(len(S_idx))
+    if count > SPACE_CAP:
+        raise SpaceTooLarge(f"{count} orderings exceed {SPACE_CAP}")
+    probs = dist.probs
+    return math.fsum(_ordered_chain_prob(probs, perm) for perm in itertools.permutations(S_idx))
 
 
 def conditional_iw_mean(dist: CategoricalDist, S, f, tol: float = 1e-9) -> float:
     """Mean of the importance-weighted estimate over the threshold given S."""
+    spec = est.ESTIMATORS[est.IMPORTANCE_WEIGHTED]
     S_idx = np.sort(np.asarray(S.indices if hasattr(S, "indices") else S, dtype=int))
+    fv = as_objective(f).values_at(S_idx)
     if len(S_idx) == dist.n:
-        fv = _values_at(f, S_idx)
         return float(np.dot(np.exp(dist.log_probs[S_idx]), fv))
-    fv = _values_at(f, S_idx)
-    contrib, _ = _iw_set_contributions(dist, S_idx, fv, tol, want_second=False)
-    return contrib / math.exp(p_set_exact(dist, S_idx))
-
-
-def _values_at(f, idx):
-    obj = as_objective(f)
-    return np.array([obj.value(int(s)) for s in idx])
+    p_set = _set_prob_by_orderings(dist, S_idx)
+    mean, _ = _threshold_integrals(spec, dist, S_idx, fv, tol, np.ones((len(S_idx), 1)), False)
+    return float(mean[0]) / p_set
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +257,65 @@ def _moments_from_entries(values, probs, total):
 
 
 def _maybe_project(vec, project):
-    if project is None:
+    if project is None or np.ndim(vec) == 0:
         return vec
     return float(np.dot(np.asarray(vec, dtype=float), np.asarray(project, dtype=float)))
+
+
+# Sample spaces by sampling law: ``space(dist, k)`` lists every sample as
+# ``(points, r)``, the way the law's draw returns it, with its probability.
+
+def _set_space(dist, k):
+    space = enumerate_unordered(dist, k)
+    return [(s.indices, None) for s, _ in space.entries], [p for _, p in space.entries]
+
+
+def _ordered_space(dist, k):
+    space = enumerate_ordered(dist, k)
+    return [(b.indices, None) for b, _ in space.entries], [p for _, p in space.entries]
+
+
+def _iid_space(law):
+    """I.i.d. draws with replacement, as many as the law evaluates."""
+    def space(dist, k):
+        draws = law.evals(k, dist.n)
+        if dist.n**draws > SPACE_CAP:
+            raise SpaceTooLarge(f"{dist.n**draws} with-replacement samples exceed {SPACE_CAP}")
+        probs = dist.probs
+        samples = [np.array(X) for X in itertools.product(range(dist.n), repeat=draws)]
+        return [(X, None) for X in samples], [float(np.prod(probs[X])) for X in samples]
+    return space
+
+
+def _det_split_space(dist, k):
+    C = est.det_sum_and_sample_split(dist, k)
+    rest_mass = math.exp(dist.complement_log_mass(C))
+    probs = dist.probs
+    rest = [x for x in range(dist.n) if x not in set(C.tolist())]
+    return [(np.append(C, x), None) for x in rest], [probs[x] / rest_mass for x in rest]
+
+
+def _full_space(dist, k):
+    return [(np.arange(dist.n), None)], [1.0]
+
+
+def _threshold_full_space(dist, k):
+    """The threshold law at k = n: the sentinel threshold, q = 1."""
+    if k != dist.n:
+        raise ValueError("threshold estimators below k = n are integrated, not enumerated")
+    return [est.importance_weights(dist, np.arange(dist.n), None)], [1.0]
+
+
+_SPACES = {
+    est.SET: _set_space,
+    est.ORDERED: _ordered_space,
+    est.THRESHOLD: _threshold_full_space,
+    est.WITH_REPLACEMENT: _iid_space(est.WITH_REPLACEMENT),
+    est.PAIRED: _iid_space(est.PAIRED),
+    est.DET_SPLIT: _det_split_space,
+    est.SINGLE: _iid_space(est.SINGLE),
+    est.FULL: _full_space,
+}
 
 
 def estimator_moments(
@@ -307,139 +333,44 @@ def estimator_moments(
     covariance as their variance, or the scalar variance of ``grad . project``
     when a projection vector is supplied.  Threshold-dependent kinds are
     integrated over the conditional threshold density per sampled set; their
-    variance is infinite for small k (k = 1 for the importance-weighted forms,
-    k <= 3 for the baseline-corrected policy gradient) and reported as inf.
+    variance is infinite below the table's ``finite_var_k`` (k = 1 for
+    ``importance-weighted`` and ``iw-pg``, k <= 3 for ``iw-pg-bl``) and
+    reported as inf.
     """
+    spec = est.estimator_spec(kind)
     obj = as_objective(f)
-    n = dist.n
-
-    if kind == est.SINGLE_SAMPLE:
-        fv = _all_values(dist, obj)
-        return _moments_from_entries(fv, dist.probs, 1.0)
-
-    if kind == est.UNORDERED_SET:
-        space = enumerate_unordered(dist, k)
-        vals = [est.unordered_set_estimate(dist, s.indices, obj) for s, _ in space.entries]
-        return _moments_from_entries(vals, [p for _, p in space.entries], space.total)
-
-    m_split = est.parse_stoch_sas(kind)
-    if m_split is not None:
-        space = enumerate_ordered(dist, k)
-        vals = [est.stoch_sum_and_sample(dist, b.indices, obj, m=m_split) for b, _ in space.entries]
-        return _moments_from_entries(vals, [p for _, p in space.entries], space.total)
-
-    if kind == est.DET_SUM_AND_SAMPLE:
-        C = est.det_sum_and_sample_split(dist, k)
-        probs = dist.probs
-        head = float(np.dot(probs[C], _values_at(obj, C)))
-        rest_mass = math.exp(dist.complement_log_mass(C))
-        rest = [x for x in range(n) if x not in set(C.tolist())]
-        vals = [head + rest_mass * obj.value(x) for x in rest]
-        ps = [probs[x] / rest_mass for x in rest]
-        return _moments_from_entries(vals, ps, float(math.fsum(ps)))
-
-    if kind == est.IMPORTANCE_WEIGHTED:
-        return _iw_value_moments(dist, obj, k, quad_tol)
-
-    if kind in (est.IW_PG, est.IW_PG_BL):
-        return _iwpg_moments(dist, obj, k, kind, project, quad_tol)
-
-    if kind in (est.UNORDERED_SET_PG, est.UNORDERED_SET_PG_BL, est.FULL_UNORDERED_SET_PG,
-                est.RISK, est.RISK_BL_FORM):
-        space = enumerate_unordered(dist, k)
-        grads = []
-        for s, _ in space.entries:
-            if kind == est.UNORDERED_SET_PG:
-                g = est.uspg(dist, s.indices, obj).grad
-            elif kind == est.UNORDERED_SET_PG_BL:
-                g = est.uspg_baseline(dist, s.indices, obj).grad
-            elif kind == est.FULL_UNORDERED_SET_PG:
-                g = est.fuspg(dist, s.indices, obj).grad
-            elif kind == est.RISK:
-                g = est.risk_grad(dist, s.indices, obj, form="direct").grad
-            else:
-                g = est.risk_grad(dist, s.indices, obj, form="baseline").grad
-            grads.append(_maybe_project(g, project))
-        return _moments_from_entries(grads, [p for _, p in space.entries], space.total)
-
-    if kind in (est.REINFORCE_WR, est.REINFORCE_WR_BL):
-        if n**k > SPACE_CAP:
-            raise SpaceTooLarge(f"{n**k} with-replacement samples exceed {SPACE_CAP}")
-        probs = dist.probs
-        grads, ps = [], []
-        for X in itertools.product(range(n), repeat=k):
-            g = est.reinforce_wr(dist, np.array(X), obj, baseline=kind == est.REINFORCE_WR_BL).grad
-            grads.append(_maybe_project(g, project))
-            ps.append(float(np.prod(probs[list(X)])))
-        return _moments_from_entries(grads, ps, float(math.fsum(ps)))
-
-    if kind == est.REINFORCE_SAMPLED_BL:
-        if n ** (2 * k) > SPACE_CAP:
-            raise SpaceTooLarge(f"{n ** (2 * k)} sample pairs exceed {SPACE_CAP}")
-        probs = dist.probs
-        grads, ps = [], []
-        for X in itertools.product(range(n), repeat=k):
-            for Xb in itertools.product(range(n), repeat=k):
-                g = est.reinforce_sampled_baseline(dist, np.array(X), np.array(Xb), obj).grad
-                grads.append(_maybe_project(g, project))
-                ps.append(float(np.prod(probs[list(X)]) * np.prod(probs[list(Xb)])))
-        return _moments_from_entries(grads, ps, float(math.fsum(ps)))
-
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    if spec.law == est.THRESHOLD and k < dist.n:
+        return _threshold_moments(spec, dist, obj, k, project, quad_tol)
+    samples, probs = _SPACES[spec.law](dist, k)
+    outputs = [
+        _maybe_project(est._estimate(spec, dist, points, obj, r), project)
+        for points, r in samples
+    ]
+    return _moments_from_entries(outputs, probs, float(math.fsum(probs)))
 
 
-def _iw_value_moments(dist, obj, k, tol):
-    n = dist.n
-    if k == n:
-        fv = _all_values(dist, obj)
-        return float(np.dot(dist.probs, fv)), 0.0
-    want_second = k >= 2
+def _threshold_moments(spec, dist, obj, k, project, tol):
+    finite_var = k >= spec.finite_var_k
+    scalar = spec.output == est.VALUE or project is not None
     mean_acc, second_acc = [], []
-    for S in itertools.combinations(range(n), k):
+    for S in itertools.combinations(range(dist.n), k):
         S_idx = np.array(S)
-        fv = _values_at(obj, S_idx)
-        m1, m2 = _iw_set_contributions(dist, S_idx, fv, tol, want_second)
-        mean_acc.append(m1)
-        if want_second:
-            second_acc.append(m2)
-    mean = float(math.fsum(mean_acc))
-    if not want_second:
-        return mean, math.inf
-    second = float(math.fsum(second_acc))
-    return mean, max(second - mean**2, 0.0)
-
-
-def _iwpg_moments(dist, obj, k, kind, project, tol):
-    n = dist.n
-    if k == n:
-        g = est.iwpg(dist, np.arange(n), None, obj, baseline=kind != est.IW_PG).grad
-        return _maybe_project(g, project), 0.0
-    finite_var = k >= 2 if kind == est.IW_PG else k >= 4
-    mean_acc = []
-    second_acc = []
-    for S in itertools.combinations(range(n), k):
-        S_idx = np.array(S)
-        fv = _values_at(obj, S_idx)
-        gram = None
-        if finite_var:
-            if project is None:
-                gram = _score_gram(dist, S_idx)
-            else:
-                proj = np.asarray(project, dtype=float)
-                jc = proj[S_idx] - float(np.dot(dist.probs, proj))
-                gram = np.outer(jc, jc)
-        coef_int, second = _iwpg_set_contributions(dist, S_idx, fv, kind, tol, gram)
-        mean_acc.append(est._score_sum(dist, S_idx, coef_int))
-        if second is not None:
-            second_acc.append(second)
-    mean_vec = np.sum(mean_acc, axis=0)
-    mean = _maybe_project(mean_vec, project)
+        if spec.output == est.VALUE:
+            out_map = np.ones((k, 1))
+        elif project is None:
+            out_map = _score_vectors(dist, S_idx)
+        else:
+            proj = np.asarray(project, dtype=float)
+            out_map = (proj[S_idx] - float(np.dot(dist.probs, proj)))[:, None]
+        mean, second = _threshold_integrals(
+            spec, dist, S_idx, obj.values_at(S_idx), tol, out_map, finite_var
+        )
+        mean_acc.append(float(mean[0]) if scalar else mean)
+        second_acc.append(second)
+    mean = math.fsum(mean_acc) if scalar else np.sum(mean_acc, axis=0)
     if not finite_var:
         return mean, math.inf
-    second = float(math.fsum(second_acc))
-    if project is None:
-        return mean, max(second - float(np.dot(mean_vec, mean_vec)), 0.0)
-    return mean, max(second - mean**2, 0.0)
+    return mean, max(math.fsum(second_acc) - float(np.dot(mean, mean)), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,6 @@ def _split_sets(dist: CategoricalDist, S, C):
     return S, C, rest
 
 
-def _complement_log_mass(dist: CategoricalDist, S) -> float:
-    return dist.complement_log_mass(np.asarray(S, dtype=int))
-
-
 def p_set_naive(dist: CategoricalDist, S, C=()) -> float:
     """log p^{D \\ C}(S \\ C) by explicit summation over all orderings."""
     S, C, rest = _split_sets(dist, S, C)
@@ -105,7 +101,7 @@ def p_set_naive(dist: CategoricalDist, S, C=()) -> float:
     if len(S) == dist.n:
         return 0.0
     lp = dist.log_probs
-    m0 = math.exp(_complement_log_mass(dist, S))
+    m0 = math.exp(dist.complement_log_mass(S))
     p_rest = {s: math.exp(lp[s]) for s in rest}
     mass_rest = math.fsum(p_rest.values())
     ordering_logs = []
@@ -189,7 +185,7 @@ def p_set_exact(dist: CategoricalDist, S, C=(), *, fallback: bool = True) -> flo
         return 0.0
     if len(S) == dist.n:
         return 0.0
-    m0 = math.exp(_complement_log_mass(dist, S))
+    m0 = math.exp(dist.complement_log_mass(S))
     p_rest = [math.exp(dist.log_probs[s]) for s in rest]
     mass_hi, mass_lo, signs = _subset_masses_and_signs(p_rest)
     total = _inclusion_exclusion_total(m0, mass_hi, mass_lo, signs)
@@ -266,7 +262,7 @@ def _integral_restricted_logs(dist, S, rest, rel_excludes, nodes, a):
     divides out its excluded factors.
     """
     lp = dist.log_probs
-    log_m0 = _complement_log_mass(dist, S)
+    log_m0 = dist.complement_log_mass(S)
     log_alpha = a + log_m0
     alpha = math.exp(log_alpha)
     beta = np.exp(np.asarray([lp[s] for s in rest]) + a)
@@ -332,7 +328,7 @@ def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes, a):
     m = len(rest)
     if m > EXACT_MAX_K:
         raise TooManySubsets(f"|S \\ C| = {m} exceeds {EXACT_MAX_K}")
-    m0 = math.exp(_complement_log_mass(dist, S))
+    m0 = math.exp(dist.complement_log_mass(S))
     p_rest = [math.exp(dist.log_probs[s]) for s in rest]
     mass_hi, mass_lo, signs = _subset_masses_and_signs(p_rest)
     q, q_lo = _quotient_terms(m0, mass_hi, mass_lo)
@@ -425,7 +421,7 @@ def loo_ratios(
     log_num = np.array(logs[:m])
     # p^{D\C}(S\C) = sum_s p^{D\C}(s) p^{D\(C u {s})}(S \ C \ {s})
     lp_rest = np.array([dist.log_probs[s] for s in rest])
-    log_excl_mass = _complement_log_mass(dist, exclude) if exclude else 0.0
+    log_excl_mass = dist.complement_log_mass(exclude) if exclude else 0.0
     log_p = min(log_sum_exp(lp_rest - log_excl_mass + log_num), 0.0)
     ratios = np.exp(log_num - log_p)
 
@@ -443,15 +439,3 @@ def loo_ratios(
         second_order=second,
     )
 
-
-def posterior_first_draw(dist: CategoricalDist, S, *, exclude=(), backend="auto") -> np.ndarray:
-    """Probability that each element of S was drawn first, given the set S.
-
-    Equals p(s) * R(S, s) over the (possibly restricted) domain; sums to 1.
-    """
-    lr = loo_ratios(dist, S, order=1, backend=backend, exclude=exclude)
-    lp = np.array([dist.log_probs[s] for s in lr.elements])
-    exclude = _as_sorted_indices(dist, exclude)
-    if exclude:
-        lp = lp - _complement_log_mass(dist, exclude)
-    return np.exp(lp) * lr.ratios

@@ -5,7 +5,9 @@ import pytest
 
 import sworgrad as sg
 from sworgrad import Rng, bench
-from sworgrad.errors import InvalidSampleSize
+from sworgrad import estimators as est
+from sworgrad.errors import InvalidSampleSize, NeedTwoSamples
+from sworgrad.sampling import sample_with_replacement
 
 
 class TestToyProblem:
@@ -33,6 +35,14 @@ class TestToyProblem:
         with pytest.raises(InvalidSampleSize):
             bench.toy_scalar_grad("unordered-set-pg", 0.0, 9, Rng(0))
 
+    @pytest.mark.parametrize("kind", ["unordered-set-pg-bl", "reinforce-wr-bl"])
+    @pytest.mark.parametrize("eta", [0.0, -4.0])
+    def test_builtin_baseline_needs_two_samples(self, kind, eta):
+        """At k = 1 the sample would be its own baseline, which biases the
+        gradient; the toy must refuse it as the library does."""
+        with pytest.raises(NeedTwoSamples):
+            bench.toy_scalar_grad(kind, eta, 1, Rng(0))
+
 
 class TestFullDomainDeterminism:
     @pytest.mark.parametrize("eta", [0.0, -4.0])
@@ -55,37 +65,62 @@ class TestFullDomainDeterminism:
         assert exact_var == 0.0
 
 
+def _vector_estimate(kind, toy, k, seed):
+    """The logit-space gradient of ``kind`` from the public estimator API, on
+    the sample the toy draws from Rng(seed)."""
+    flat, f = toy.flat, toy.f_values
+    rng = Rng(seed)
+    if kind == "exact":
+        return sg.uspg(flat, np.arange(bench.DOMAIN), f)
+    if kind.startswith("reinforce"):
+        X = sample_with_replacement(rng, flat, k)
+        if kind == "reinforce-sampled-bl":
+            return sg.reinforce_sampled_baseline(flat, X, sample_with_replacement(rng, flat, k), f)
+        return sg.reinforce_wr(flat, X, f, baseline=kind == "reinforce-wr-bl")
+    S, thr = sg.gumbel_top_k(rng, flat, k)
+    by_set = {
+        "unordered-set-pg": lambda: sg.uspg(flat, S.indices, f),
+        "unordered-set-pg-bl": lambda: sg.uspg_baseline(flat, S.indices, f),
+        "full-unordered-set-pg": lambda: sg.fuspg(
+            flat, S.indices, sg.Objective(f, np.zeros((bench.DOMAIN, bench.DOMAIN)))
+        ),
+        "iw-pg": lambda: sg.iwpg(flat, S.to_unordered(), thr, f, baseline=False),
+        "iw-pg-bl": lambda: sg.iwpg(flat, S.to_unordered(), thr, f, baseline=True),
+        "iw-pg-norm": lambda: sg.iwpg(flat, S.to_unordered(), thr, f, normalized=True),
+        "risk": lambda: sg.risk_grad(flat, S.indices, f, form="direct"),
+        "risk-bl-form": lambda: sg.risk_grad(flat, S.indices, f, form="baseline"),
+    }
+    return by_set[kind]()
+
+
 class TestScalarChainRule:
     def test_gradient_paths_agree_with_vector_estimators(self):
-        """The scalar harness must match dotting the logit-space gradient
-        estimators with the chain-rule vector."""
+        """For every gradient id in the table, the scalar harness must match
+        dotting the logit-space gradient estimator with the chain-rule
+        vector, on the same draws."""
+        grad_ids = sorted(i for i, spec in est.ESTIMATORS.items() if spec.output != est.VALUE)
         gen = np.random.default_rng(50)
         for eta in (0.0, -1.2):
             toy = bench.make_toy(eta)
             for _ in range(20):
                 k = int(gen.integers(2, 8))
                 seed = int(gen.integers(10**6))
-                S, thr = sg.gumbel_top_k(Rng(seed), toy.flat, k)
-
-                got = bench.toy_scalar_grad("unordered-set-pg", eta, k, Rng(seed))
-                g = sg.uspg(toy.flat, S.indices, toy.f_values)
-                assert abs(got - float(np.dot(g.grad, toy.eta_jacobian))) < 1e-12
-
-                got = bench.toy_scalar_grad("unordered-set-pg-bl", eta, k, Rng(seed))
-                g = sg.uspg_baseline(toy.flat, S.indices, toy.f_values)
-                assert abs(got - float(np.dot(g.grad, toy.eta_jacobian))) < 1e-12
-
-                got = bench.toy_scalar_grad("iw-pg-bl", eta, k, Rng(seed))
-                g = sg.iwpg(toy.flat, S.to_unordered(), thr, toy.f_values, baseline=True)
-                assert abs(got - float(np.dot(g.grad, toy.eta_jacobian))) < 1e-12
+                for kind in grad_ids:
+                    got = bench.toy_scalar_grad(kind, eta, k, Rng(seed))
+                    g = _vector_estimate(kind, toy, k, seed)
+                    assert g.estimator_id == kind or kind == "exact"
+                    assert abs(got - float(np.dot(g.grad, toy.eta_jacobian))) < 1e-12, kind
 
     def test_exact_moments_unbiased(self):
         for kind in (
             "unordered-set-pg",
             "unordered-set-pg-bl",
+            "full-unordered-set-pg",
             "stoch-sum-and-sample-m1",
             "det-sum-and-sample",
             "importance-weighted",
+            "iw-pg",
+            "iw-pg-bl",
             "reinforce-wr",
             "reinforce-wr-bl",
             "reinforce-sampled-bl",

@@ -117,6 +117,10 @@ class TestVariance:
         path.write_text('{"estimators": ["unordered-set-pg"]}')
         assert _run(["variance", "--config", str(path)]) == 1
 
+    def test_builtin_baseline_at_one_sample_is_error(self, tmp_path):
+        cfg = self._config(tmp_path, estimators=["unordered-set-pg-bl"], k=[1])
+        assert _run(["variance", "--config", str(cfg)]) == 1
+
 
 class TestOptimize:
     def test_csv_output(self, tmp_path):

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -432,6 +434,13 @@ class TestEstimatorIds:
     def test_stoch_sas_id_roundtrip(self):
         assert est.parse_stoch_sas(est.stoch_sas_id(3)) == 3
         assert est.parse_stoch_sas("unordered-set") is None
+
+    def test_readme_lists_the_table(self):
+        """The README's estimator id paragraph names exactly the table's ids."""
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        paragraph = readme.split("Estimator ids", 1)[1].split("\n\n")[1]
+        listed = set(re.findall(r"`([a-z0-9{}-]+)`", paragraph))
+        assert listed == set(est.ESTIMATORS) | {"stoch-sum-and-sample-m{m}"}
 
     def test_grad_estimate_ids(self, running_dist, running_f):
         pairs = [

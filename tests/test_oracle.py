@@ -85,20 +85,22 @@ class TestEnumeration:
         d = sg.from_logits(np.zeros(50))
         with pytest.raises(SpaceTooLarge):
             oracle.enumerate_ordered(d, 5)
+        with pytest.raises(SpaceTooLarge):
+            oracle.conditional_iw_mean(d, range(10), np.zeros(50))
 
 
 class TestPosterior:
     def test_running_example(self, running_dist):
         np.testing.assert_allclose(
-            oracle.posterior_b1(running_dist, (0, 1)),
+            sg.posterior_weights(running_dist, (0, 1))[1],
             [7.0 / 12.0, 5.0 / 12.0],
             rtol=1e-10,
         )
 
     def test_uniform_and_singleton(self):
         d = sg.from_logits(np.zeros(4))
-        np.testing.assert_allclose(oracle.posterior_b1(d, (1, 3)), 0.5, atol=1e-12)
-        np.testing.assert_allclose(oracle.posterior_b1(d, (2,)), [1.0], atol=1e-14)
+        np.testing.assert_allclose(sg.posterior_weights(d, (1, 3))[1], 0.5, atol=1e-12)
+        np.testing.assert_allclose(sg.posterior_weights(d, (2,))[1], [1.0], atol=1e-14)
 
     def test_matches_ordering_enumeration(self):
         """The closed-form posterior equals the normalized frequency of
@@ -116,7 +118,7 @@ class TestPosterior:
             for key, vec in by_set.items():
                 total = sum(vec.values())
                 want = np.array([vec[s] / total for s in key])
-                got = oracle.posterior_b1(d, key)
+                got = sg.posterior_weights(d, key)[1]
                 np.testing.assert_allclose(got, want, atol=1e-10)
 
 
