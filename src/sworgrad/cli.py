@@ -41,8 +41,6 @@ def _build_parser() -> _Parser:
                        choices=("auto", "naive", "exact", "integral"))
     p_set.add_argument("--nodes", type=int, default=setprob.DEFAULT_NODES,
                        help="integration node count")
-    p_set.add_argument("--a", type=float, default=setprob.DEFAULT_SHIFT,
-                       help="integration shift")
     p_set.add_argument("--out", default=None)
 
     p_check = sub.add_parser("check", help="run the identity checks on random instances")
@@ -86,15 +84,12 @@ def _parse_dist(raw: str):
 def _cmd_probset(args) -> int:
     dist = _parse_dist(args.dist)
     S = tuple(int(v) for v in args.set.split(","))
-    lr = setprob.loo_ratios(
-        dist, S, order=args.order, backend=args.backend, nodes=args.nodes, a=args.a
-    )
+    lr = setprob.loo_ratios(dist, S, order=args.order, backend=args.backend, nodes=args.nodes)
     posterior = np.exp(dist.log_probs[lr.elements]) * lr.ratios
     report = {
         "schema_version": SCHEMA_VERSION,
         "backend": args.backend,
         "nodes": args.nodes,
-        "a": args.a,
         "set": [int(s) for s in lr.elements],
         "log_p_set": lr.log_p_set,
         "p_set": math.exp(lr.log_p_set),

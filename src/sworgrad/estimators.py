@@ -35,7 +35,7 @@ from .errors import (
     NoPathwiseGradient,
 )
 from .sampling import OrderedSample, Rng, Threshold, gumbel_top_k, sample_with_replacement
-from .setprob import loo_ratios
+from .setprob import _index_set, _sample_indices, loo_ratios
 
 EXACT = "exact"
 SINGLE_SAMPLE = "single-sample"
@@ -91,21 +91,6 @@ class GradEstimate:
         object.__setattr__(self, "grad", g)
 
 
-def _indices_of(sample) -> np.ndarray:
-    if hasattr(sample, "indices"):
-        return np.asarray(sample.indices, dtype=int)
-    return np.asarray(sample, dtype=int).ravel()
-
-
-def _sorted_set(sample, n: int) -> np.ndarray:
-    idx = np.sort(_indices_of(sample))
-    if len(np.unique(idx)) != len(idx):
-        raise ValueError("sample indices must be distinct")
-    if len(idx) and (idx[0] < 0 or idx[-1] >= n):
-        raise ValueError("sample indices out of range")
-    return idx
-
-
 def _kappa_of(kappa) -> float | None:
     if isinstance(kappa, Threshold):
         return kappa.kappa
@@ -138,7 +123,7 @@ def posterior_weights(dist: CategoricalDist, S, *, exclude=(), backend="auto"):
     lr = loo_ratios(dist, S, order=1, backend=backend, exclude=exclude)
     lp = dist.log_probs[lr.elements]
     if len(exclude):
-        lp = lp - dist.complement_log_mass(_indices_of(exclude))
+        lp = lp - dist.complement_log_mass(_sample_indices(exclude))
     return lr.elements, np.exp(lp) * lr.ratios
 
 
@@ -150,7 +135,7 @@ def sum_and_sample_weights(dist: CategoricalDist, B, m: int = 1):
     remaining mass is spread over the last m elements using the restricted
     first-draw posterior, so the weights total exactly 1.
     """
-    idx = _indices_of(B)
+    idx = _sample_indices(B)
     k = len(idx)
     if not 1 <= m < k:
         raise InvalidSplit(f"need 1 <= m < k, got m={m}, k={k}")
@@ -173,7 +158,7 @@ def det_sum_and_sample_split(dist: CategoricalDist, k: int) -> np.ndarray:
 def inclusion_probs(dist: CategoricalDist, elements, kappa) -> np.ndarray:
     """q(s, kappa) = P(perturbed log-prob of s exceeds kappa); ones for the
     full-domain sentinel.  Computed as -expm1(-exp(log p(s) - kappa))."""
-    elements = _indices_of(elements)
+    elements = _sample_indices(elements)
     kv = _kappa_of(kappa)
     if kv is None:
         return np.ones(len(elements))
@@ -199,7 +184,7 @@ def _check_threshold(S, kappa):
 def importance_weights(dist: CategoricalDist, S, kappa):
     """Elements (ascending) and priority-sampling weights p(s) / q(s, kappa)."""
     kv = _check_threshold(S, kappa)
-    elements = _sorted_set(S, dist.n)
+    elements = _index_set(S, dist.n)
     q = inclusion_probs(dist, elements, kv)
     return elements, np.exp(dist.log_probs[elements]) / q
 
@@ -438,13 +423,13 @@ def _grad_estimate(estimator_id, dist, points, f, k, r=None, seed=None) -> GradE
 def unordered_set_estimate(dist: CategoricalDist, S, f) -> float:
     """sum_{s in S} p(s) R(S, s) f(s): the conditional mean of f at the first
     draw given the unordered sample, hence unbiased for E[f]."""
-    return _estimate(ESTIMATORS[UNORDERED_SET], dist, _sorted_set(S, dist.n), as_objective(f))
+    return _estimate(ESTIMATORS[UNORDERED_SET], dist, _index_set(S, dist.n), as_objective(f))
 
 
 def stoch_sum_and_sample(dist: CategoricalDist, B, f, m: int = 1) -> float:
     """Sum the first k-m drawn terms exactly; estimate the remainder from the
     last m draws via the restricted unordered set estimator."""
-    return _estimate(estimator_spec(stoch_sas_id(m)), dist, _indices_of(B), as_objective(f))
+    return _estimate(estimator_spec(stoch_sas_id(m)), dist, _sample_indices(B), as_objective(f))
 
 
 def det_sum_and_sample(dist: CategoricalDist, f, k: int, rng: Rng) -> float:
@@ -467,7 +452,7 @@ def importance_weighted(dist: CategoricalDist, S, kappa, f) -> float:
 
 def uspg(dist: CategoricalDist, S, f, *, seed: int | None = None) -> GradEstimate:
     """Unordered-set policy gradient: sum_s grad-p(s) R(S, s) f(s)."""
-    S = _sorted_set(S, dist.n)
+    S = _index_set(S, dist.n)
     return _grad_estimate(UNORDERED_SET_PG, dist, S, f, len(S), seed=seed)
 
 
@@ -479,7 +464,7 @@ def uspg_baseline(dist: CategoricalDist, S, f, *, seed: int | None = None) -> Gr
     constant (no gradient flows through it), which keeps the estimator
     unbiased.
     """
-    S = _sorted_set(S, dist.n)
+    S = _index_set(S, dist.n)
     return _grad_estimate(UNORDERED_SET_PG_BL, dist, S, f, len(S), seed=seed)
 
 
@@ -487,7 +472,7 @@ def uspg_baseline_control_variate(dist: CategoricalDist, S, f) -> np.ndarray:
     """The subtracted control-variate term of the baseline estimator,
     sum_s grad-p(s) R(S, s) * baseline(s); its expectation over S is zero."""
     _require_logits(dist)
-    S = _sorted_set(S, dist.n)
+    S = _index_set(S, dist.n)
     elements, w, b = _baseline_terms(dist, S, as_objective(f).values_at(S))
     return _score_sum(dist, elements, w * b)
 
@@ -495,7 +480,7 @@ def uspg_baseline_control_variate(dist: CategoricalDist, S, f) -> np.ndarray:
 def fuspg(dist: CategoricalDist, S, f, *, seed: int | None = None) -> GradEstimate:
     """Unordered-set policy gradient plus the pathwise term for objectives
     that depend on the parameters: sum_s R(S, s) grad(p(s) f(s))."""
-    S = _sorted_set(S, dist.n)
+    S = _index_set(S, dist.n)
     return _grad_estimate(FULL_UNORDERED_SET_PG, dist, S, f, len(S), seed=seed)
 
 
@@ -504,7 +489,7 @@ def reinforce_wr(
 ) -> GradEstimate:
     """REINFORCE on k independent draws, optionally centering each term by
     the mean objective of the other k-1 draws."""
-    X = _indices_of(X)
+    X = _sample_indices(X)
     if len(X) < 1:
         raise InvalidSampleSize("need at least one sample")
     eid = REINFORCE_WR_BL if baseline else REINFORCE_WR
@@ -516,8 +501,8 @@ def reinforce_sampled_baseline(
 ) -> GradEstimate:
     """REINFORCE where each draw is centered by an independent paired draw;
     consumes 2k objective evaluations."""
-    X = _indices_of(X)
-    X_baseline = _indices_of(X_baseline)
+    X = _sample_indices(X)
+    X_baseline = _sample_indices(X_baseline)
     if len(X) != len(X_baseline):
         raise BaselineSizeMismatch(f"{len(X)} samples vs {len(X_baseline)} baseline samples")
     points = np.concatenate([X, X_baseline])
@@ -537,7 +522,7 @@ def risk_grad(
     eid = {"direct": RISK, "baseline": RISK_BL_FORM}.get(form)
     if eid is None:
         raise ValueError(f"form must be 'direct' or 'baseline', got {form!r}")
-    S = _sorted_set(S, dist.n)
+    S = _index_set(S, dist.n)
     return _grad_estimate(eid, dist, S, f, len(S), seed=seed)
 
 

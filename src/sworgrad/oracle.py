@@ -16,8 +16,9 @@ import numpy as np
 
 from . import estimators as est
 from .distributions import CategoricalDist, Objective, as_objective, from_logits
-from .errors import DomainTooLarge, SpaceTooLarge
+from .errors import DomainTooLarge, InvalidSampleSize, SpaceTooLarge
 from .sampling import OrderedSample, UnorderedSample
+from .setprob import _index_set
 
 DOMAIN_CAP = 10**6
 SPACE_CAP = 10**6
@@ -230,7 +231,7 @@ def _set_prob_by_orderings(dist: CategoricalDist, S_idx) -> float:
 def conditional_iw_mean(dist: CategoricalDist, S, f, tol: float = 1e-9) -> float:
     """Mean of the importance-weighted estimate over the threshold given S."""
     spec = est.ESTIMATORS[est.IMPORTANCE_WEIGHTED]
-    S_idx = np.sort(np.asarray(S.indices if hasattr(S, "indices") else S, dtype=int))
+    S_idx = _index_set(S, dist.n)
     fv = as_objective(f).values_at(S_idx)
     if len(S_idx) == dist.n:
         return float(np.dot(np.exp(dist.log_probs[S_idx]), fv))
@@ -301,10 +302,11 @@ def _full_space(dist, k):
 
 def _threshold_full_space(dist, k):
     """The threshold law at k = n: the sentinel threshold, q = 1."""
-    if k != dist.n:
-        raise ValueError("threshold estimators below k = n are integrated, not enumerated")
     return [est.importance_weights(dist, np.arange(dist.n), None)], [1.0]
 
+
+# Laws that draw k distinct elements, so k may not exceed the domain size.
+_WITHOUT_REPLACEMENT = (est.SET, est.ORDERED, est.THRESHOLD, est.DET_SPLIT)
 
 _SPACES = {
     est.SET: _set_space,
@@ -335,9 +337,12 @@ def estimator_moments(
     integrated over the conditional threshold density per sampled set; their
     variance is infinite below the table's ``finite_var_k`` (k = 1 for
     ``importance-weighted`` and ``iw-pg``, k <= 3 for ``iw-pg-bl``) and
-    reported as inf.
+    reported as inf.  Raises InvalidSampleSize for k < 1, and for k > n
+    under the laws that draw distinct elements.
     """
     spec = est.estimator_spec(kind)
+    if k < 1 or (k > dist.n and spec.law in _WITHOUT_REPLACEMENT):
+        raise InvalidSampleSize(f"k={k} outside [1, {dist.n}] for {kind!r}")
     obj = as_objective(f)
     if spec.law == est.THRESHOLD and k < dist.n:
         return _threshold_moments(spec, dist, obj, k, project, quad_tol)

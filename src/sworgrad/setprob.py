@@ -2,22 +2,25 @@
 
 For a categorical p over domain D, the probability of drawing the set S of k
 distinct elements (sampling one by one without replacement, order discarded)
-admits three interchangeable computations:
+admits three interchangeable kernels:
 
-* ``p_set_naive``    -- sum over all k! orderings of the chain-rule product
-                        (factorial cost; reference oracle for small k).
-* ``p_set_exact``    -- signed inclusion-exclusion over subsets c of S,
-                        sum_c (-1)^{|c|} m0 / (m0 + mass(c)) with
-                        m0 = 1 - mass(S)  (2^k cost).
-* ``p_set_integral`` -- trapezoid quadrature of the smooth transformed
-                        integrand  alpha * v^(alpha-1) * prod_i (1 - v^beta_i)
-                        on (0, 1), with alpha = exp(a) * m0 and
-                        beta_i = exp(a) * p(i); the shift a (default 5) makes
-                        the integrand vanish to high order at both endpoints.
+* ``naive``    -- sum over all k! orderings of the chain-rule product
+                  (factorial cost; reference oracle for small k).
+* ``exact``    -- signed inclusion-exclusion over subsets c of S,
+                  sum_c (-1)^{|c|} m0 / (m0 + mass(c)) with m0 = 1 - mass(S)
+                  (2^k cost); sums that cancel below ``CANCELLATION_FLOOR``
+                  are answered by ``integral`` instead.
+* ``integral`` -- trapezoid quadrature of the smooth transformed integrand
+                  alpha * v^(alpha-1) * prod_i (1 - v^beta_i) on (0, 1), with
+                  alpha = exp(a) * m0 and beta_i = exp(a) * p(i).  The shift
+                  a is the constant ``SHIFT`` = 5, the paper's value; it makes
+                  the integrand vanish to high order at both endpoints.
 
-All three support the restricted form p^{D \\ C}(S \\ C) for C inside S: the
-complement of the sampled set is D \\ S either way, so only the product terms
-change.
+Each kernel computes the restricted form p^{D \\ C}(S \\ C) for C inside S
+(the complement of the sampled set is D \\ S either way, so only the product
+terms change) for several exclusions at once: a query is a tuple of positions
+into the free elements S \\ C that it excludes as well.  ``_restricted_logs``
+is the one dispatch over the kernels.
 
 ``loo_ratios`` assembles, for each s in S, the leave-one-out ratio
 R(S, s) = p^{D \\ {s}}(S \\ {s}) / p(S), with the denominator reconstructed
@@ -28,6 +31,10 @@ R^{D \\ {s}}(S, s') = p^{D \\ {s, s'}}(S \\ {s, s'}) / p^{D \\ {s}}(S \\ {s}).
 ``auto`` uses inclusion-exclusion (one fsum per query) up to
 ``_AUTO_EXACT_MAX_K`` free elements and quadrature beyond; queries whose
 alternating sum cancels share one quadrature grid.
+
+``p_set_naive``, ``p_set_exact`` and ``p_set_integral`` are the one-query
+forms of the same kernels: each asks for the single query that excludes
+nothing more, log p^{D \\ C}(S \\ C).
 """
 from __future__ import annotations
 
@@ -43,7 +50,11 @@ from .errors import TooManyPermutations, TooManySubsets
 NAIVE_MAX_K = 8
 EXACT_MAX_K = 20
 DEFAULT_NODES = 1000
-DEFAULT_SHIFT = 5.0
+
+# The quadrature shift a of the transformed integrand, fixed at the paper's
+# value: DEFAULT_NODES is accurate for it, while other shifts can squeeze the
+# integrand's mass into one grid interval (a = -50 gives log p(S) ~ 0 for any S).
+SHIFT = 5.0
 
 # Inclusion-exclusion terms are bounded by 1; totals below this are treated
 # as catastrophic cancellation and recomputed with the integral backend.
@@ -71,48 +82,62 @@ class LooRatios:
     second_order: np.ndarray | None = None
 
 
-def _as_sorted_indices(dist: CategoricalDist, S) -> tuple:
-    if hasattr(S, "indices"):
-        S = S.indices
-    idx = tuple(sorted(int(s) for s in np.asarray(S, dtype=int).ravel()))
+def _sample_indices(sample) -> np.ndarray:
+    """The indices of a sample object (anything with ``.indices``) or of an
+    array-like, in their given order."""
+    return np.asarray(getattr(sample, "indices", sample), dtype=int).ravel()
+
+
+def _index_set(S, n: int) -> np.ndarray:
+    """The indices of S in increasing order; ValueError unless they are
+    distinct and inside range(n).  The one check of a sampled set; it works on
+    Python ints because numpy's per-call cost dominates for a few elements."""
+    idx = sorted(_sample_indices(S).tolist())
     if len(set(idx)) != len(idx):
         raise ValueError(f"set elements must be distinct, got {idx}")
-    if idx and (idx[0] < 0 or idx[-1] >= dist.n):
-        raise ValueError(f"set elements out of range for domain of size {dist.n}")
-    return idx
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        raise ValueError(f"set elements out of range for domain of size {n}")
+    return np.array(idx, dtype=int)
 
 
-def _split_sets(dist: CategoricalDist, S, C):
-    S = _as_sorted_indices(dist, S)
-    C = _as_sorted_indices(dist, C)
-    if not set(C) <= set(S):
+def _split_sets(dist: CategoricalDist, S, C, nodes: int):
+    """The argument checks every entry point shares: S and C as sorted tuples,
+    and the free elements S \\ C."""
+    S = tuple(_index_set(S, dist.n).tolist())
+    C = tuple(_index_set(C, dist.n).tolist())
+    excluded = set(C)
+    if not excluded <= set(S):
         raise ValueError("excluded set C must be contained in S")
-    rest = tuple(s for s in S if s not in set(C))
-    return S, C, rest
+    if nodes < 2:
+        raise ValueError("need at least 2 quadrature nodes")
+    return S, C, tuple(s for s in S if s not in excluded)
 
 
-def p_set_naive(dist: CategoricalDist, S, C=()) -> float:
-    """log p^{D \\ C}(S \\ C) by explicit summation over all orderings."""
-    S, C, rest = _split_sets(dist, S, C)
-    if len(rest) > NAIVE_MAX_K:
-        raise TooManyPermutations(f"|S \\ C| = {len(rest)} exceeds {NAIVE_MAX_K}")
-    if not rest:
-        return 0.0
-    if len(S) == dist.n:
-        return 0.0
+def _naive_restricted_logs(dist, S, rest, rel_excludes):
+    """Chain-rule sums over the orderings of the elements each query keeps."""
+    free = len(rest) - min(len(rel) for rel in rel_excludes)
+    if free > NAIVE_MAX_K:
+        raise TooManyPermutations(f"|S \\ C| = {free} exceeds {NAIVE_MAX_K}")
     lp = dist.log_probs
     m0 = math.exp(dist.complement_log_mass(S))
-    p_rest = {s: math.exp(lp[s]) for s in rest}
-    mass_rest = math.fsum(p_rest.values())
-    ordering_logs = []
-    for perm in itertools.permutations(rest):
-        acc = 0.0
-        remaining = mass_rest
-        for b in perm:
-            acc += float(lp[b]) - math.log(m0 + remaining)
-            remaining -= p_rest[b]
-        ordering_logs.append(acc)
-    return min(log_sum_exp(np.array(ordering_logs)), 0.0)
+    results = []
+    for rel in rel_excludes:
+        kept = [s for pos, s in enumerate(rest) if pos not in rel]
+        if not kept:
+            results.append(0.0)
+            continue
+        p_kept = {s: math.exp(lp[s]) for s in kept}
+        mass_kept = math.fsum(p_kept.values())
+        ordering_logs = []
+        for perm in itertools.permutations(kept):
+            acc = 0.0
+            remaining = mass_kept
+            for b in perm:
+                acc += float(lp[b]) - math.log(m0 + remaining)
+                remaining -= p_kept[b]
+            ordering_logs.append(acc)
+        results.append(min(log_sum_exp(np.array(ordering_logs)), 0.0))
+    return results
 
 
 def _two_sum(a, b):
@@ -163,37 +188,6 @@ def _quotient_terms(m0, mass_hi, mass_lo):
     residual = (m0 - prod) - prod_err
     q_lo = (residual - q * d_lo) / d
     return q, q_lo
-
-
-def _inclusion_exclusion_total(m0, mass_hi, mass_lo, signs) -> float:
-    q, q_lo = _quotient_terms(m0, mass_hi, mass_lo)
-    return math.fsum((signs * q).tolist() + (signs * q_lo).tolist())
-
-
-def p_set_exact(dist: CategoricalDist, S, C=(), *, fallback: bool = True) -> float:
-    """log p^{D \\ C}(S \\ C) by signed inclusion-exclusion over subsets.
-
-    Terms are accumulated with exact compensated summation (math.fsum).  When
-    the alternating series cancels below ``CANCELLATION_FLOOR`` times the
-    largest term, the integral backend is used instead (or TooManySubsets
-    raised when ``fallback`` is off).
-    """
-    S, C, rest = _split_sets(dist, S, C)
-    if len(rest) > EXACT_MAX_K:
-        raise TooManySubsets(f"|S \\ C| = {len(rest)} exceeds {EXACT_MAX_K}")
-    if not rest:
-        return 0.0
-    if len(S) == dist.n:
-        return 0.0
-    m0 = math.exp(dist.complement_log_mass(S))
-    p_rest = [math.exp(dist.log_probs[s]) for s in rest]
-    mass_hi, mass_lo, signs = _subset_masses_and_signs(p_rest)
-    total = _inclusion_exclusion_total(m0, mass_hi, mass_lo, signs)
-    if total < CANCELLATION_FLOOR:
-        if fallback:
-            return p_set_integral(dist, S, C)
-        raise TooManySubsets("inclusion-exclusion cancelled catastrophically")
-    return min(math.log(total), 0.0)
 
 
 def _log1mexp(x: np.ndarray) -> np.ndarray:
@@ -254,18 +248,17 @@ def _log_romberg(log_vals: np.ndarray) -> float:
     return log_t0 + math.log(best)
 
 
-def _integral_restricted_logs(dist, S, rest, rel_excludes, nodes, a):
-    """Shared-grid quadrature of log p^{D\\(C u rel)}(rest \\ rel) for several
-    exclusions ``rel`` (tuples of positions into ``rest``).
+def _integral_restricted_logs(dist, S, rest, rel_excludes, nodes):
+    """Shared-grid quadrature of every query.
 
     The full product over ``rest`` is computed once per node; each query
     divides out its excluded factors.
     """
     lp = dist.log_probs
     log_m0 = dist.complement_log_mass(S)
-    log_alpha = a + log_m0
+    log_alpha = SHIFT + log_m0
     alpha = math.exp(log_alpha)
-    beta = np.exp(np.asarray([lp[s] for s in rest]) + a)
+    beta = np.exp(np.asarray([lp[s] for s in rest]) + SHIFT)
 
     logv = _integral_grid(nodes)
     # factor_logs[j, i] = log(1 - v_j^beta_i); -inf at v=1, 0 at v=0.
@@ -303,22 +296,8 @@ def _integral_restricted_logs(dist, S, rest, rel_excludes, nodes, a):
     return results
 
 
-def p_set_integral(
-    dist: CategoricalDist, S, C=(), nodes: int = DEFAULT_NODES, a: float = DEFAULT_SHIFT
-) -> float:
-    """log p^{D \\ C}(S \\ C) by trapezoid quadrature of the transformed integrand."""
-    S, C, rest = _split_sets(dist, S, C)
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
-    if not rest:
-        return 0.0
-    if len(S) == dist.n:
-        return 0.0
-    return _integral_restricted_logs(dist, S, rest, [()], nodes, a)[0]
-
-
-def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes, a):
-    """Shared-table inclusion-exclusion for several exclusions.
+def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
+    """Shared-table inclusion-exclusion for every query.
 
     Builds the signed term table over subsets of ``rest`` once; each query
     sums, with math.fsum, the terms whose subset avoids the excluded
@@ -351,18 +330,57 @@ def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes, a):
         else:
             results.append(min(math.log(total), 0.0))
     if cancelled:
-        fallback = [rel_excludes[i] for i in cancelled]
-        for i, lg in zip(cancelled, _integral_restricted_logs(dist, S, rest, fallback, nodes, a)):
+        requery = [rel_excludes[i] for i in cancelled]
+        for i, lg in zip(cancelled, _integral_restricted_logs(dist, S, rest, requery, nodes)):
             results[i] = lg
     return results
 
 
-def _naive_restricted_logs(dist, S, rest, rel_excludes, exclude):
-    out = []
-    for rel in rel_excludes:
-        C = tuple(sorted(set(exclude) | {rest[pos] for pos in rel}))
-        out.append(p_set_naive(dist, S, C))
-    return out
+def _restricted_logs(dist, S, rest, rel_excludes, backend, nodes):
+    """log p^{D \\ (C u rel)}(rest \\ rel) for each query ``rel`` (a tuple of
+    positions into ``rest`` = S \\ C), from one backend's kernel.  ``auto`` is
+    ``exact`` for up to _AUTO_EXACT_MAX_K free elements and ``integral``
+    beyond."""
+    if backend == "auto":
+        backend = "exact" if len(rest) <= _AUTO_EXACT_MAX_K else "integral"
+    if backend == "naive":
+        return _naive_restricted_logs(dist, S, rest, rel_excludes)
+    if backend == "exact":
+        return _exact_restricted_logs(dist, S, rest, rel_excludes, nodes)
+    if backend == "integral":
+        return _integral_restricted_logs(dist, S, rest, rel_excludes, nodes)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+def _p_set(dist: CategoricalDist, S, C, backend: str, nodes: int = DEFAULT_NODES) -> float:
+    """log p^{D \\ C}(S \\ C): the one query of ``backend`` that excludes
+    nothing more.  An empty S \\ C or a whole-domain S has probability 1."""
+    S, C, rest = _split_sets(dist, S, C, nodes)
+    if not rest or len(S) == dist.n:
+        return 0.0
+    return _restricted_logs(dist, S, rest, [()], backend, nodes)[0]
+
+
+def p_set_naive(dist: CategoricalDist, S, C=()) -> float:
+    """log p^{D \\ C}(S \\ C) by explicit summation over all orderings;
+    raises TooManyPermutations above NAIVE_MAX_K free elements."""
+    return _p_set(dist, S, C, "naive")
+
+
+def p_set_exact(dist: CategoricalDist, S, C=()) -> float:
+    """log p^{D \\ C}(S \\ C) by signed inclusion-exclusion over subsets.
+
+    Terms are accumulated with exact compensated summation (math.fsum).  When
+    the alternating series cancels below ``CANCELLATION_FLOOR``, the value is
+    ``p_set_integral``'s.  Raises TooManySubsets above EXACT_MAX_K free
+    elements.
+    """
+    return _p_set(dist, S, C, "exact")
+
+
+def p_set_integral(dist: CategoricalDist, S, C=(), nodes: int = DEFAULT_NODES) -> float:
+    """log p^{D \\ C}(S \\ C) by trapezoid quadrature of the transformed integrand."""
+    return _p_set(dist, S, C, "integral", nodes)
 
 
 def loo_ratios(
@@ -373,7 +391,6 @@ def loo_ratios(
     backend: str = "auto",
     exclude=(),
     nodes: int = DEFAULT_NODES,
-    a: float = DEFAULT_SHIFT,
 ) -> LooRatios:
     """Leave-one-out ratios of the elements of S, sharing one denominator.
 
@@ -381,14 +398,15 @@ def loo_ratios(
     D \\ C: ratios are R^{D \\ C}(S, s) for s in S \\ C and ``log_p_set`` is
     log p^{D \\ C}(S \\ C).  Backends: ``naive`` (reference, tiny sets only),
     ``exact`` (2^m inclusion-exclusion over the m free elements; raises
-    TooManySubsets above m = EXACT_MAX_K), ``integral`` (quadrature) or
-    ``auto``, which is ``exact`` for m <= _AUTO_EXACT_MAX_K and ``integral``
-    beyond.  Under ``exact`` the queries whose alternating sum cancels below
-    CANCELLATION_FLOOR share one quadrature grid.
+    TooManySubsets above m = EXACT_MAX_K), ``integral`` (quadrature on
+    ``nodes`` nodes, at least 2) or ``auto``, which is ``exact`` for
+    m <= _AUTO_EXACT_MAX_K and ``integral`` beyond.  Under ``exact`` the
+    queries whose alternating sum cancels below CANCELLATION_FLOOR share one
+    quadrature grid.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    S, exclude, rest = _split_sets(dist, S, exclude)
+    S, exclude, rest = _split_sets(dist, S, exclude, nodes)
     m = len(rest)
     if m < 1:
         raise ValueError("need at least one element outside the excluded set")
@@ -402,21 +420,9 @@ def loo_ratios(
             second_order=np.ones((m, m)) if order == 2 else None,
         )
 
-    if backend == "auto":
-        backend = "exact" if m <= _AUTO_EXACT_MAX_K else "integral"
-
     singles = [(i,) for i in range(m)]
     pairs = list(itertools.combinations(range(m), 2)) if order == 2 else []
-    queries = singles + pairs
-
-    if backend == "exact":
-        logs = _exact_restricted_logs(dist, S, rest, queries, nodes, a)
-    elif backend == "integral":
-        logs = _integral_restricted_logs(dist, S, rest, queries, nodes, a)
-    elif backend == "naive":
-        logs = _naive_restricted_logs(dist, S, rest, queries, exclude)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    logs = _restricted_logs(dist, S, rest, singles + pairs, backend, nodes)
 
     log_num = np.array(logs[:m])
     # p^{D\C}(S\C) = sum_s p^{D\C}(s) p^{D\(C u {s})}(S \ C \ {s})
@@ -438,4 +444,3 @@ def loo_ratios(
         log_p_set=float(log_p),
         second_order=second,
     )
-

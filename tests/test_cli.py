@@ -41,6 +41,15 @@ class TestProbset:
     def test_set_out_of_range_is_error(self, capsys):
         assert _run(["probset", "--dist", "[0.5,0.5]", "--set", "0,5"]) == 1
 
+    def test_too_few_nodes_is_error(self, capsys):
+        assert _run(["probset", "--dist", "[0.5,0.3,0.2]", "--set", "0,1", "--nodes", "1"]) == 1
+
+    def test_report_keys(self, capsys):
+        assert _run(["probset", "--dist", "[0.5,0.3,0.2]", "--set", "0,1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"schema_version", "backend", "nodes", "set", "log_p_set",
+                               "p_set", "ratios", "posterior_first_draw"}
+
 
 class TestCheck:
     def test_passes_and_writes_report(self, tmp_path):

@@ -8,7 +8,7 @@ import sworgrad as sg
 from conftest import random_dist
 from sworgrad import oracle
 from sworgrad import estimators as est
-from sworgrad.errors import SpaceTooLarge
+from sworgrad.errors import InvalidSampleSize, SpaceTooLarge
 from sworgrad.setprob import p_set_exact, p_set_integral, p_set_naive
 
 
@@ -87,6 +87,12 @@ class TestEnumeration:
             oracle.enumerate_ordered(d, 5)
         with pytest.raises(SpaceTooLarge):
             oracle.conditional_iw_mean(d, range(10), np.zeros(50))
+
+    @pytest.mark.parametrize("S", [[0, 0], [-1, 0]])
+    def test_conditional_iw_mean_rejects_bad_sets(self, running_dist, running_f, S):
+        """A repeated or negative index is not a sampled set."""
+        with pytest.raises(ValueError):
+            oracle.conditional_iw_mean(running_dist, S, running_f)
 
 
 class TestPosterior:
@@ -177,6 +183,20 @@ class TestEstimatorMoments:
     def test_unknown_kind_rejected(self, running_dist, running_f):
         with pytest.raises(ValueError):
             oracle.estimator_moments("not-an-estimator", running_dist, running_f, 2)
+
+    @pytest.mark.parametrize("kind", [*est.ESTIMATORS, est.stoch_sas_id(1)])
+    def test_sample_size_checked(self, running_dist, running_f, kind):
+        """k = 0 is never a sample size; k > n is none for the laws that draw
+        distinct elements (their sample space is empty)."""
+        with pytest.raises(InvalidSampleSize):
+            oracle.estimator_moments(kind, running_dist, running_f, 0)
+        k = running_dist.n + 1
+        if est.estimator_spec(kind).law in (est.SET, est.ORDERED, est.THRESHOLD, est.DET_SPLIT):
+            with pytest.raises(InvalidSampleSize):
+                oracle.estimator_moments(kind, running_dist, running_f, k)
+        else:
+            mean, var = oracle.estimator_moments(kind, running_dist, running_f, k)
+            assert np.all(np.isfinite(mean)) and math.isfinite(var)
 
 
 class TestTheoremReport:

@@ -249,6 +249,30 @@ class TestLooRatios:
         with pytest.raises(TooManySubsets):
             loo_ratios(d, tuple(range(21)), backend="exact")
 
+    @pytest.mark.parametrize("backend", ["auto", "naive", "exact", "integral"])
+    def test_too_few_nodes_rejected(self, running_dist, backend):
+        with pytest.raises(ValueError):
+            loo_ratios(running_dist, (0, 1), backend=backend, nodes=1)
+        with pytest.raises(ValueError):
+            p_set_integral(running_dist, (0, 1), nodes=1)
+
+    def test_naive_matches_exact_with_exclusion(self):
+        """The chain-rule kernel drops each query's excluded elements on top
+        of C, as inclusion-exclusion does."""
+        gen = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(gen.integers(3, 10))
+            d = random_dist(gen, n, scale=1.5)
+            k = int(gen.integers(2, min(6, n) + 1))
+            S = tuple(sorted(gen.choice(n, size=k, replace=False).tolist()))
+            C = S[: int(gen.integers(0, k - 1))]
+            naive = loo_ratios(d, S, order=2, backend="naive", exclude=C)
+            exact = loo_ratios(d, S, order=2, backend="exact", exclude=C)
+            np.testing.assert_array_equal(naive.elements, exact.elements)
+            np.testing.assert_allclose(naive.ratios, exact.ratios, rtol=1e-10)
+            np.testing.assert_allclose(naive.log_p_set, exact.log_p_set, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(naive.second_order, exact.second_order, rtol=1e-10)
+
 
 def _sampled_set(domain, k):
     """A fixed high-probability set: Gumbel top-k on a 64-outcome softmax, or
@@ -282,3 +306,9 @@ class TestLargeSets:
         np.testing.assert_allclose(got.log_p_set, want.log_p_set, rtol=1e-6)
         if order == 2:
             np.testing.assert_allclose(got.second_order, want.second_order, rtol=1e-6)
+
+    def test_cancelled_exact_is_the_integral(self):
+        """On the n = 1000 domain inclusion-exclusion cancels below the floor,
+        and p_set_exact returns the default quadrature's value unchanged."""
+        dist, S = _sampled_set("n1000", 8)
+        assert p_set_exact(dist, S) == p_set_integral(dist, S)
