@@ -35,7 +35,7 @@ from .errors import (
     NoPathwiseGradient,
 )
 from .sampling import OrderedSample, Rng, Threshold, gumbel_top_k, sample_with_replacement
-from .setprob import _index_set, _sample_indices, loo_ratios
+from .setprob import _draw_indices, _index_set, _sample_indices, loo_ratios
 
 EXACT = "exact"
 SINGLE_SAMPLE = "single-sample"
@@ -489,7 +489,7 @@ def reinforce_wr(
 ) -> GradEstimate:
     """REINFORCE on k independent draws, optionally centering each term by
     the mean objective of the other k-1 draws."""
-    X = _sample_indices(X)
+    X = _draw_indices(X, dist.n)
     if len(X) < 1:
         raise InvalidSampleSize("need at least one sample")
     eid = REINFORCE_WR_BL if baseline else REINFORCE_WR
@@ -501,8 +501,8 @@ def reinforce_sampled_baseline(
 ) -> GradEstimate:
     """REINFORCE where each draw is centered by an independent paired draw;
     consumes 2k objective evaluations."""
-    X = _sample_indices(X)
-    X_baseline = _sample_indices(X_baseline)
+    X = _draw_indices(X, dist.n)
+    X_baseline = _draw_indices(X_baseline, dist.n)
     if len(X) != len(X_baseline):
         raise BaselineSizeMismatch(f"{len(X)} samples vs {len(X_baseline)} baseline samples")
     points = np.concatenate([X, X_baseline])

@@ -5,6 +5,12 @@ Everything here is independent of the fast kernels it is used to verify:
 ordered-sample probabilities come from the sequential chain rule, unordered
 probabilities from summing orderings, and threshold-dependent estimators are
 integrated against the conditional threshold density by adaptive quadrature.
+
+Each sample space is passed over once per estimator: ``_sample_outputs``
+lists every sample with its probability and the estimator's output, and
+``_threshold_pass`` integrates the threshold estimators once per set.  The
+theorem report reads both the moments and the per-set conditional checks
+from that one pass.
 """
 from __future__ import annotations
 
@@ -125,13 +131,14 @@ def _adaptive_trapezoid(func, tol: float, start_nodes: int = 129, max_nodes: int
     ``func`` maps an array of nodes in (0, 1) to integrand values of shape
     ``(len(nodes), ...)``; endpoint values are taken just inside the interval.
     The node count runs 129, 257, ..., 65537; at ``max_nodes`` the last
-    estimate is returned even if it has not converged.
+    estimate is returned even if it has not converged.  Each rung keeps the
+    values of the previous one, whose nodes are its even nodes, and calls
+    ``func`` only on the new midpoints, so every node is evaluated once.
     """
     nodes = start_nodes
+    vals = func(np.clip(np.linspace(0.0, 1.0, nodes), _U_CLIP, 1.0 - _U_CLIP))
     prev = None
     while True:
-        u = np.linspace(0.0, 1.0, nodes)
-        vals = func(np.clip(u, _U_CLIP, 1.0 - _U_CLIP))
         total = _romberg_row(vals)
         if prev is not None:
             err = np.max(np.abs(total - prev))
@@ -142,6 +149,11 @@ def _adaptive_trapezoid(func, tol: float, start_nodes: int = 129, max_nodes: int
             return total
         prev = total
         nodes = 2 * (nodes - 1) + 1
+        mids = func(np.clip(np.linspace(0.0, 1.0, nodes)[1::2], _U_CLIP, 1.0 - _U_CLIP))
+        finer = np.empty((nodes,) + vals.shape[1:])
+        finer[0::2] = vals
+        finer[1::2] = mids
+        vals = finer
 
 
 def _kappa_path(dist: CategoricalDist, S_idx):
@@ -179,19 +191,31 @@ def _q_matrix(dist, S_idx, kappas) -> np.ndarray:
     return (-np.expm1(-np.exp(t))).T
 
 
-def _threshold_integrals(spec, dist, S_idx, fv, tol, out_map, want_second):
-    """Integrals over the threshold given S of w * out and, if asked, of
-    w * |out|^2, where w is the set-conditional weight prod_s q and
-    out = coefs @ out_map maps the estimator's coefs at each quadrature node
-    (one row of importance weights per node) to its output.  Dividing by
-    p(S) gives conditional moments; summed over all sets they are the
-    unconditional moments.
+def _threshold_integrals(spec, dist, S_idx, obj, project, tol):
+    """Integrals over the threshold given the set S (fewer than n elements)
+    of w * out and, where the estimator's variance is finite at this k, of
+    w * |out|^2 (else None).  Here w is the set-conditional weight prod_s q
+    and out is the estimate at each quadrature node (one row of importance
+    weights per node), projected when ``project`` is given; the mean is then
+    a float, as for a value.  Dividing by p(S) gives the moments given S;
+    summed over all sets they are the unconditional moments.
 
     A value's mean is integrated as one column.  A gradient's mean is
     integrated per coefficient and mapped afterwards, so quadrature converges
     on the coefficients' scale even where a projected gradient cancels to
     almost zero.
     """
+    k = len(S_idx)
+    scalar = spec.output == est.VALUE or project is not None
+    if spec.output == est.VALUE:
+        out_map = np.ones((k, 1))
+    elif scalar:
+        proj = np.asarray(project, dtype=float)
+        out_map = (proj[S_idx] - float(np.dot(dist.probs, proj)))[:, None]
+    else:
+        out_map = _score_vectors(dist, S_idx)
+    want_second = k >= spec.finite_var_k
+    fv = obj.values_at(S_idx)
     p_el = np.exp(dist.log_probs[S_idx])
     kappa_of, weight_of = _kappa_path(dist, S_idx)
     per_coef = spec.output != est.VALUE
@@ -208,8 +232,8 @@ def _threshold_integrals(spec, dist, S_idx, fv, tol, out_map, want_second):
         return np.concatenate(cols, axis=1)
 
     total = _adaptive_trapezoid(integrand, tol)
-    mean = total[: len(S_idx)] @ out_map if per_coef else total[: out_map.shape[1]]
-    return mean, (float(total[-1]) if want_second else None)
+    mean = total[:k] @ out_map if per_coef else total[: out_map.shape[1]]
+    return (float(mean[0]) if scalar else mean), (float(total[-1]) if want_second else None)
 
 
 def _score_vectors(dist, elements):
@@ -232,21 +256,21 @@ def conditional_iw_mean(dist: CategoricalDist, S, f, tol: float = 1e-9) -> float
     """Mean of the importance-weighted estimate over the threshold given S."""
     spec = est.ESTIMATORS[est.IMPORTANCE_WEIGHTED]
     S_idx = _index_set(S, dist.n)
-    fv = as_objective(f).values_at(S_idx)
+    obj = as_objective(f)
     if len(S_idx) == dist.n:
-        return float(np.dot(np.exp(dist.log_probs[S_idx]), fv))
+        return float(np.dot(np.exp(dist.log_probs[S_idx]), obj.values_at(S_idx)))
     p_set = _set_prob_by_orderings(dist, S_idx)
-    mean, _ = _threshold_integrals(spec, dist, S_idx, fv, tol, np.ones((len(S_idx), 1)), False)
-    return float(mean[0]) / p_set
+    mean, _ = _threshold_integrals(spec, dist, S_idx, obj, None, tol)
+    return mean / p_set
 
 
 # ---------------------------------------------------------------------------
 # exact estimator moments
 
-def _moments_from_entries(values, probs, total):
+def _moments_from_entries(values, probs):
     """Normalized mean and variance (trace of covariance for vectors)."""
     arr = np.asarray(values, dtype=float)
-    p = np.asarray(probs, dtype=float) / total
+    p = np.asarray(probs, dtype=float) / float(math.fsum(probs))
     if arr.ndim == 1:
         mean = float(np.dot(p, arr))
         var = float(np.dot(p, (arr - mean) ** 2))
@@ -300,24 +324,31 @@ def _full_space(dist, k):
     return [(np.arange(dist.n), None)], [1.0]
 
 
-def _threshold_full_space(dist, k):
-    """The threshold law at k = n: the sentinel threshold, q = 1."""
-    return [est.importance_weights(dist, np.arange(dist.n), None)], [1.0]
-
-
 # Laws that draw k distinct elements, so k may not exceed the domain size.
 _WITHOUT_REPLACEMENT = (est.SET, est.ORDERED, est.THRESHOLD, est.DET_SPLIT)
 
 _SPACES = {
     est.SET: _set_space,
     est.ORDERED: _ordered_space,
-    est.THRESHOLD: _threshold_full_space,
     est.WITH_REPLACEMENT: _iid_space(est.WITH_REPLACEMENT),
     est.PAIRED: _iid_space(est.PAIRED),
     est.DET_SPLIT: _det_split_space,
     est.SINGLE: _iid_space(est.SINGLE),
     est.FULL: _full_space,
 }
+
+
+def _sample_outputs(spec, dist, obj, k, project):
+    """The sample space of the spec's law at size k as three lists: the
+    ``(points, r)`` samples, their probabilities and the estimator's output on
+    each (projected when ``project`` is given).  Not for the threshold law,
+    which ``_threshold_pass`` integrates."""
+    samples, probs = _SPACES[spec.law](dist, k)
+    outputs = [
+        _maybe_project(est._estimate(spec, dist, points, obj, r), project)
+        for points, r in samples
+    ]
+    return samples, probs, outputs
 
 
 def estimator_moments(
@@ -344,38 +375,35 @@ def estimator_moments(
     if k < 1 or (k > dist.n and spec.law in _WITHOUT_REPLACEMENT):
         raise InvalidSampleSize(f"k={k} outside [1, {dist.n}] for {kind!r}")
     obj = as_objective(f)
-    if spec.law == est.THRESHOLD and k < dist.n:
-        return _threshold_moments(spec, dist, obj, k, project, quad_tol)
-    samples, probs = _SPACES[spec.law](dist, k)
-    outputs = [
-        _maybe_project(est._estimate(spec, dist, points, obj, r), project)
-        for points, r in samples
-    ]
-    return _moments_from_entries(outputs, probs, float(math.fsum(probs)))
+    if spec.law == est.THRESHOLD:
+        return _threshold_moments(*_threshold_pass(spec, dist, obj, k, project, quad_tol))
+    _, probs, outputs = _sample_outputs(spec, dist, obj, k, project)
+    return _moments_from_entries(outputs, probs)
 
 
-def _threshold_moments(spec, dist, obj, k, project, tol):
-    finite_var = k >= spec.finite_var_k
-    scalar = spec.output == est.VALUE or project is not None
-    mean_acc, second_acc = [], []
-    for S in itertools.combinations(range(dist.n), k):
-        S_idx = np.array(S)
-        if spec.output == est.VALUE:
-            out_map = np.ones((k, 1))
-        elif project is None:
-            out_map = _score_vectors(dist, S_idx)
-        else:
-            proj = np.asarray(project, dtype=float)
-            out_map = (proj[S_idx] - float(np.dot(dist.probs, proj)))[:, None]
-        mean, second = _threshold_integrals(
-            spec, dist, S_idx, obj.values_at(S_idx), tol, out_map, finite_var
-        )
-        mean_acc.append(float(mean[0]) if scalar else mean)
-        second_acc.append(second)
-    mean = math.fsum(mean_acc) if scalar else np.sum(mean_acc, axis=0)
-    if not finite_var:
+def _threshold_pass(spec, dist, obj, k, project, tol):
+    """One pass over the sets of size k, in increasing lexicographic order
+    (that of ``enumerate_unordered``): the means and the second moments of
+    ``_threshold_integrals``, one per set.  At k = n the threshold is the
+    sentinel, q = 1 and p(S) = 1: they are the estimate and its squared norm.
+    """
+    if k == dist.n:
+        points, r = est.importance_weights(dist, np.arange(dist.n), None)
+        out = _maybe_project(est._estimate(spec, dist, points, obj, r), project)
+        return [out], [float(np.dot(out, out))]
+    sets = itertools.combinations(range(dist.n), k)
+    means, seconds = zip(
+        *(_threshold_integrals(spec, dist, np.array(S), obj, project, tol) for S in sets)
+    )
+    return means, seconds
+
+
+def _threshold_moments(means, seconds):
+    """Mean and variance (inf where not finite) from ``_threshold_pass``."""
+    mean = np.sum(means, axis=0) if np.ndim(means[0]) else math.fsum(means)
+    if seconds[0] is None:
         return mean, math.inf
-    return mean, max(math.fsum(second_acc) - float(np.dot(mean, mean)), 0.0)
+    return mean, max(math.fsum(seconds) - float(np.dot(mean, mean)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +442,8 @@ def theorem_report(
     """
     from . import setprob
 
+    if not 1 <= k <= n:
+        raise InvalidSampleSize(f"k={k} outside [1, {n}]")
     gen = np.random.default_rng(seed)
     errs: dict = {}
 
@@ -423,6 +453,7 @@ def theorem_report(
 
     for _ in range(cases):
         dist, f = _random_instance(gen, n)
+        obj = as_objective(f)
         param_grad = gen.normal(0.0, 1.0, (n, n))
         obj_full = Objective(f, param_grad)
 
@@ -430,16 +461,18 @@ def theorem_report(
         exact_g = exact_gradient(dist, f)
         exact_g_full = exact_gradient(dist, obj_full)
 
-        sets = enumerate_unordered(dist, k)
-        posterior = _posterior_from_orderings(dist, k)
-
-        mean_us, var_us = estimator_moments(est.UNORDERED_SET, dist, f, k)
+        # One enumeration of the sets serves every per-set check: us_vals is
+        # the unordered-set estimate of each set, in the order of the sets.
+        sets, set_probs, us_vals = _sample_outputs(
+            est.ESTIMATORS[est.UNORDERED_SET], dist, obj, k, None
+        )
+        keys = [tuple(S.tolist()) for S, _ in sets]
+        mean_us, var_us = _moments_from_entries(us_vals, set_probs)
         track("unordered-set-unbiased", 1e-9, abs(mean_us - exact_e))
 
-        for s, _ in sets.entries:
-            key = tuple(s.indices.tolist())
-            us_val = est.unordered_set_estimate(dist, s.indices, f)
-            post_val = float(np.dot(posterior[key], f[np.array(key)]))
+        posterior = _posterior_from_orderings(dist, k)
+        for key, us_val in zip(keys, us_vals):
+            post_val = float(np.dot(posterior[key], f[list(key)]))
             track("first-draw-posterior-matches-set-estimate", 1e-10, abs(post_val - us_val))
 
         mean, _ = estimator_moments(est.UNORDERED_SET_PG, dist, f, k)
@@ -450,25 +483,23 @@ def theorem_report(
         track("full-uspg-unbiased", 1e-9, np.max(np.abs(mean - exact_g_full)))
 
         cv_mean = np.zeros(n)
-        for s, p in sets.entries:
-            cv_mean = cv_mean + p * est.uspg_baseline_control_variate(dist, s.indices, f)
-        track("control-variate-zero-mean", 1e-10, np.max(np.abs(cv_mean / sets.total)))
+        for (S, _), p in zip(sets, set_probs):
+            cv_mean = cv_mean + p * est.uspg_baseline_control_variate(dist, S, f)
+        track("control-variate-zero-mean", 1e-10, np.max(np.abs(cv_mean / math.fsum(set_probs))))
 
-        splits = [1] + ([2] if k >= 3 else [])
-        ordered = enumerate_ordered(dist, k)
-        for m in splits:
-            mean, var_sas = estimator_moments(est.stoch_sas_id(m), dist, f, k)
+        for m in [1] + ([2] if k >= 3 else []):
+            samples, probs, sas_vals = _sample_outputs(
+                est.estimator_spec(est.stoch_sas_id(m)), dist, obj, k, None
+            )
+            mean, var_sas = _moments_from_entries(sas_vals, probs)
             track("stoch-sum-and-sample-unbiased", 1e-9, abs(mean - exact_e))
             cond: dict = {}
-            for b, p in ordered.entries:
-                key = tuple(sorted(b.indices.tolist()))
-                val = est.stoch_sum_and_sample(dist, b.indices, f, m=m)
+            for (B, _), p, val in zip(samples, probs, sas_vals):
+                key = tuple(sorted(B.tolist()))
                 tot, acc = cond.get(key, (0.0, 0.0))
                 cond[key] = (tot + p, acc + p * val)
-            for s, _ in sets.entries:
-                key = tuple(s.indices.tolist())
+            for key, us_val in zip(keys, us_vals):
                 tot, acc = cond[key]
-                us_val = est.unordered_set_estimate(dist, s.indices, f)
                 track("stoch-sum-and-sample-conditional", 1e-10, abs(acc / tot - us_val))
             track("variance-dominance", 1e-10, max(0.0, var_us - var_sas))
 
@@ -478,20 +509,21 @@ def theorem_report(
         mean, _ = estimator_moments(est.DET_SUM_AND_SAMPLE, dist, f, max(k, 2))
         track("det-sum-and-sample-unbiased", 1e-9, abs(mean - exact_e))
 
-        mean_iw, var_iw = estimator_moments(
-            est.IMPORTANCE_WEIGHTED, dist, f, k, quad_tol=quad_tol
+        # One threshold integral per set gives the moments and, divided by the
+        # set's chain-rule probability, the conditional mean given the set.
+        iw_means, iw_seconds = _threshold_pass(
+            est.ESTIMATORS[est.IMPORTANCE_WEIGHTED], dist, obj, k, None, quad_tol
         )
+        mean_iw, var_iw = _threshold_moments(iw_means, iw_seconds)
         track("importance-weighted-unbiased", 1e-6, abs(mean_iw - exact_e))
         if math.isfinite(var_iw):
             track("variance-dominance", 1e-10, max(0.0, var_us - var_iw))
-        for s, _ in sets.entries:
-            cond_mean = conditional_iw_mean(dist, s.indices, f, tol=quad_tol)
-            us_val = est.unordered_set_estimate(dist, s.indices, f)
-            track("importance-weighted-conditional", 1e-6, abs(cond_mean - us_val))
+        for iw_mean, p, us_val in zip(iw_means, set_probs, us_vals):
+            track("importance-weighted-conditional", 1e-6, abs(iw_mean / p - us_val))
 
-        for s, _ in sets.entries:
-            gd = est.risk_grad(dist, s.indices, f, form="direct").grad
-            gb = est.risk_grad(dist, s.indices, f, form="baseline").grad
+        for S, _ in sets:
+            gd = est.risk_grad(dist, S, f, form="direct").grad
+            gb = est.risk_grad(dist, S, f, form="baseline").grad
             track("risk-form-equivalence", 1e-10, np.max(np.abs(gd - gb)))
 
         mean, _ = estimator_moments(est.REINFORCE_WR, dist, f, k)

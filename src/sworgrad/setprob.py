@@ -88,6 +88,10 @@ def _sample_indices(sample) -> np.ndarray:
     return np.asarray(getattr(sample, "indices", sample), dtype=int).ravel()
 
 
+def _out_of_range(n: int) -> ValueError:
+    return ValueError(f"set elements out of range for domain of size {n}")
+
+
 def _index_set(S, n: int) -> np.ndarray:
     """The indices of S in increasing order; ValueError unless they are
     distinct and inside range(n).  The one check of a sampled set; it works on
@@ -96,13 +100,27 @@ def _index_set(S, n: int) -> np.ndarray:
     if len(set(idx)) != len(idx):
         raise ValueError(f"set elements must be distinct, got {idx}")
     if idx and (idx[0] < 0 or idx[-1] >= n):
-        raise ValueError(f"set elements out of range for domain of size {n}")
+        raise _out_of_range(n)
     return np.array(idx, dtype=int)
 
 
-def _split_sets(dist: CategoricalDist, S, C, nodes: int):
+def _draw_indices(X, n: int) -> np.ndarray:
+    """The indices of draws with replacement, in their given order;
+    ValueError unless each is inside range(n).  Repeats are allowed."""
+    idx = _sample_indices(X)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise _out_of_range(n)
+    return idx
+
+
+_BACKENDS = ("auto", "naive", "exact", "integral")
+
+
+def _split_sets(dist: CategoricalDist, S, C, backend: str, nodes: int):
     """The argument checks every entry point shares: S and C as sorted tuples,
     and the free elements S \\ C."""
+    if backend not in _BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     S = tuple(_index_set(S, dist.n).tolist())
     C = tuple(_index_set(C, dist.n).tolist())
     excluded = set(C)
@@ -340,22 +358,20 @@ def _restricted_logs(dist, S, rest, rel_excludes, backend, nodes):
     """log p^{D \\ (C u rel)}(rest \\ rel) for each query ``rel`` (a tuple of
     positions into ``rest`` = S \\ C), from one backend's kernel.  ``auto`` is
     ``exact`` for up to _AUTO_EXACT_MAX_K free elements and ``integral``
-    beyond."""
+    beyond; ``_split_sets`` has checked the name."""
     if backend == "auto":
         backend = "exact" if len(rest) <= _AUTO_EXACT_MAX_K else "integral"
     if backend == "naive":
         return _naive_restricted_logs(dist, S, rest, rel_excludes)
     if backend == "exact":
         return _exact_restricted_logs(dist, S, rest, rel_excludes, nodes)
-    if backend == "integral":
-        return _integral_restricted_logs(dist, S, rest, rel_excludes, nodes)
-    raise ValueError(f"unknown backend {backend!r}")
+    return _integral_restricted_logs(dist, S, rest, rel_excludes, nodes)
 
 
 def _p_set(dist: CategoricalDist, S, C, backend: str, nodes: int = DEFAULT_NODES) -> float:
     """log p^{D \\ C}(S \\ C): the one query of ``backend`` that excludes
     nothing more.  An empty S \\ C or a whole-domain S has probability 1."""
-    S, C, rest = _split_sets(dist, S, C, nodes)
+    S, C, rest = _split_sets(dist, S, C, backend, nodes)
     if not rest or len(S) == dist.n:
         return 0.0
     return _restricted_logs(dist, S, rest, [()], backend, nodes)[0]
@@ -406,7 +422,7 @@ def loo_ratios(
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    S, exclude, rest = _split_sets(dist, S, exclude, nodes)
+    S, exclude, rest = _split_sets(dist, S, exclude, backend, nodes)
     m = len(rest)
     if m < 1:
         raise ValueError("need at least one element outside the excluded set")

@@ -69,6 +69,11 @@ class TestCheck:
         rc = _run(["check", "--out", str(tmp_path / "r.json")])
         assert rc == 2
 
+    def test_sample_size_out_of_range_is_error(self, capsys):
+        assert _run(["check", "--n", "3", "--k", "0", "--cases", "1"]) == 1
+        assert _run(["check", "--n", "3", "--k", "4", "--cases", "1"]) == 1
+        assert "outside [1, 3]" in capsys.readouterr().err
+
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["check", "--n", "3", "--k", "2", "--cases", "2", "--seed", "5"]

@@ -283,6 +283,13 @@ class TestReinforceWithReplacement:
         with pytest.raises(NeedTwoSamples):
             sg.reinforce_wr(running_dist, [0], running_f, baseline=True)
 
+    @pytest.mark.parametrize("X", [[-1, 0], [5, 0]])
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_draws_out_of_range_rejected(self, running_dist, running_f, X, baseline):
+        """A negative index must not wrap round to the last element."""
+        with pytest.raises(ValueError, match="out of range"):
+            sg.reinforce_wr(running_dist, X, running_f, baseline=baseline)
+
 
 class TestReinforceSampledBaseline:
     def test_constant_objective_vanishes(self, running_dist):
@@ -305,6 +312,11 @@ class TestReinforceSampledBaseline:
     def test_size_mismatch(self, running_dist, running_f):
         with pytest.raises(BaselineSizeMismatch):
             sg.reinforce_sampled_baseline(running_dist, [0, 1], [1], running_f)
+
+    @pytest.mark.parametrize("X, X_baseline", [([-1, 0], [0, 1]), ([0, 1], [5, 0])])
+    def test_draws_out_of_range_rejected(self, running_dist, running_f, X, X_baseline):
+        with pytest.raises(ValueError, match="out of range"):
+            sg.reinforce_sampled_baseline(running_dist, X, X_baseline, running_f)
 
 
 class TestRisk:

@@ -8,6 +8,7 @@ import sworgrad as sg
 from conftest import random_dist
 from sworgrad import oracle
 from sworgrad import estimators as est
+from sworgrad.distributions import as_objective
 from sworgrad.errors import InvalidSampleSize, SpaceTooLarge
 from sworgrad.setprob import p_set_exact, p_set_integral, p_set_naive
 
@@ -197,6 +198,105 @@ class TestEstimatorMoments:
         else:
             mean, var = oracle.estimator_moments(kind, running_dist, running_f, k)
             assert np.all(np.isfinite(mean)) and math.isfinite(var)
+
+
+def _full_grid_ladder(func, tol, start_nodes=129, max_nodes=65537):
+    """Reference ladder that evaluates every node of every rung."""
+    nodes = start_nodes
+    prev = None
+    while True:
+        u = np.clip(np.linspace(0.0, 1.0, nodes), oracle._U_CLIP, 1.0 - oracle._U_CLIP)
+        total = oracle._romberg_row(func(u))
+        if prev is not None:
+            err = np.max(np.abs(total - prev))
+            if err <= tol * max(float(np.max(np.abs(total))), 1e-30):
+                return total
+        if nodes >= max_nodes:
+            return total
+        prev = total
+        nodes = 2 * (nodes - 1) + 1
+
+
+class _Counted:
+    """Wraps an integrand and records the nodes of every call."""
+
+    def __init__(self, func):
+        self.func = func
+        self.calls = []
+
+    def __call__(self, v):
+        self.calls.append(np.array(v))
+        return self.func(v)
+
+
+def _first_integrand(monkeypatch, call):
+    """The integrand and tolerance of the first ladder that ``call`` runs."""
+    seen = []
+    ladder = oracle._adaptive_trapezoid
+
+    def capture(func, tol, **kwargs):
+        seen.append((func, tol))
+        return ladder(func, tol, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_adaptive_trapezoid", capture)
+        call()
+    return seen[0]
+
+
+class TestThresholdQuadrature:
+    def _check_ladder(self, func, tol):
+        """Each node once; returns (ladder result, reference result)."""
+        counted = _Counted(func)
+        got = oracle._adaptive_trapezoid(counted, tol)
+        rows = sum(len(v) for v in counted.calls)
+        final = 128 * 2 ** (len(counted.calls) - 1) + 1
+        assert len(counted.calls) >= 3
+        assert rows == final
+        grid = np.clip(np.linspace(0.0, 1.0, final), oracle._U_CLIP, 1.0 - oracle._U_CLIP)
+        np.testing.assert_array_equal(np.sort(np.concatenate(counted.calls)), grid)
+        return got, _full_grid_ladder(func, tol)
+
+    def test_polynomial_nodes_evaluated_once(self):
+        def poly(v):
+            return np.stack([v**60, 3.0 * v**45 - v], axis=1)
+
+        got, ref = self._check_ladder(poly, 1e-13)
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_allclose(got, [1.0 / 61.0, 3.0 / 46.0 - 0.5], rtol=1e-12)
+
+    def test_iw_integrand_nodes_evaluated_once(self, monkeypatch):
+        dist, f = oracle._random_instance(np.random.default_rng(3), 5)
+        func, tol = _first_integrand(
+            monkeypatch, lambda: oracle.conditional_iw_mean(dist, (0, 2, 4), f)
+        )
+        got, ref = self._check_ladder(func, tol)
+        np.testing.assert_array_equal(got, ref)
+
+    def test_iw_gradient_integrand_nodes_evaluated_once(self, monkeypatch):
+        """Gradient rows go through a matrix product whose blocking depends
+        on the row count, so they agree to rounding rather than bit for bit."""
+        dist, f = oracle._random_instance(np.random.default_rng(4), 5)
+        func, tol = _first_integrand(
+            monkeypatch, lambda: oracle.estimator_moments(est.IW_PG, dist, f, 3)
+        )
+        got, ref = self._check_ladder(func, tol)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 3)])
+    def test_shared_pass_gives_conditional_iw_mean(self, n, k):
+        """The report divides each set's integral from the one threshold pass
+        by the set's chain-rule probability; that is conditional_iw_mean."""
+        spec = est.ESTIMATORS[est.IMPORTANCE_WEIGHTED]
+        gen = np.random.default_rng(n)
+        for _ in range(3):
+            dist, f = oracle._random_instance(gen, n)
+            means, _ = oracle._threshold_pass(spec, dist, as_objective(f), k, None, 1e-9)
+            sets = oracle.enumerate_unordered(dist, k).entries
+            assert len(means) == len(sets)
+            for mean, (s, p) in zip(means, sets):
+                want = oracle.conditional_iw_mean(dist, s.indices, f)
+                assert abs(mean / p - want) <= 1e-12
 
 
 class TestTheoremReport:

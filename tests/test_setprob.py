@@ -244,6 +244,12 @@ class TestLooRatios:
         posterior = probs * lr.ratios
         np.testing.assert_allclose(np.sum(posterior), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("S", [(0, 1), (0, 1, 2)])
+    def test_unknown_backend_rejected(self, running_dist, S):
+        """Checked before the whole-domain shortcut as well."""
+        with pytest.raises(ValueError, match="unknown backend"):
+            loo_ratios(running_dist, S, backend="bogus")
+
     def test_exact_subset_guard(self):
         d = from_logits(np.zeros(30))
         with pytest.raises(TooManySubsets):
