@@ -116,13 +116,15 @@ def toy_scalar_grad(kind: str, eta: float, k: int, rng: Rng) -> float:
     of E[g] for the score-weighted objective g(x) = (d log p(x)/d-eta) f(x),
     an unbiased score-function gradient.  ``exact`` runs the unordered-set
     weights over the full domain, so a full-domain sample reproduces it bit
-    for bit.
+    for bit.  The draw goes through the coefs function as a batch of one.
     """
     spec = est.estimator_spec(kind)
     toy = make_toy(eta)
     points, r = spec.law.draw(rng, toy.flat, k)
-    elements, coefs = spec.coefs(toy.flat, points, toy.f_values[points], r)
-    return float(np.dot(coefs, toy.centered_jacobian[elements]))
+    elements, coefs = spec.coefs(
+        toy.flat, points[None], toy.f_values[points][None], None if r is None else r[None]
+    )
+    return float(np.dot(coefs[0], toy.centered_jacobian[elements[0]]))
 
 
 def toy_exact_moments(kind: str, eta: float, k: int):

@@ -9,6 +9,12 @@ objective values there to ``(elements, coefs)``:
   score-weighted sum ``sum_e coefs[e] * (onehot(e) - probs)``;
 * the toy harness's scalar gradient is ``coefs . centered_jacobian[elements]``.
 
+The coefs functions work on a batch: ``points`` is a (B, k) array holding B
+samples, one per row, and ``elements`` and ``coefs`` come back with one row
+per sample.  ``_estimate`` maps a batch to B values or a (B, n) array of
+gradients.  The exact oracle passes a whole enumerated sample space as one
+batch; every one-sample function below is the B = 1 row of the same code.
+
 ``ESTIMATORS`` maps each estimator id to its sampling law (how the sample is
 drawn and how many objective evaluations it takes), its coefs function and
 its output kind.  The public functions below, the toy harness and the exact
@@ -18,7 +24,6 @@ no autodiff is involved.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -35,7 +40,16 @@ from .errors import (
     NoPathwiseGradient,
 )
 from .sampling import OrderedSample, Rng, Threshold, gumbel_top_k, sample_with_replacement
-from .setprob import _draw_indices, _index_set, _sample_indices, loo_ratios
+from .setprob import (
+    _as_rows,
+    _complement_log_masses,
+    _complement_masses,
+    _draw_indices,
+    _exclusion_rows,
+    _index_set,
+    _sample_indices,
+    loo_ratios,
+)
 
 EXACT = "exact"
 SINGLE_SAMPLE = "single-sample"
@@ -105,10 +119,17 @@ def _require_logits(dist: CategoricalDist):
 
 
 def _score_sum(dist: CategoricalDist, elements: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """sum_e coefs[e] * (onehot(e) - probs), the softmax score-weighted sum."""
-    g = np.zeros(dist.n)
-    np.add.at(g, elements, coefs)
-    return g - float(np.sum(coefs)) * dist.probs
+    """sum_e coefs[e] * (onehot(e) - probs), the softmax score-weighted sum,
+    for each row of the (B, k) arrays; shape (B, n)."""
+    g = np.zeros((len(coefs), dist.n))
+    np.add.at(g, (np.arange(len(coefs))[:, None], elements), coefs)
+    return g - coefs.sum(axis=1, keepdims=True) * dist.probs
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b along the last axis, broadcasting the leading axes; each entry
+    is the product np.dot gives for one row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -118,34 +139,40 @@ def _score_sum(dist: CategoricalDist, elements: np.ndarray, coefs: np.ndarray) -
 def posterior_weights(dist: CategoricalDist, S, *, exclude=(), backend="auto"):
     """Elements of S (ascending) and their first-draw posterior probabilities
     p(s) R(S, s); on a restricted domain the weights use the renormalized p.
-    The weights always sum to 1 up to rounding.
+    The weights always sum to 1 up to rounding.  S may be a (B, k) batch of
+    sets, as for ``loo_ratios``; both results then have one row per set.
     """
-    lr = loo_ratios(dist, S, order=1, backend=backend, exclude=exclude)
+    rows, single = _as_rows(S)
+    lr = loo_ratios(dist, rows, order=1, backend=backend, exclude=exclude)
     lp = dist.log_probs[lr.elements]
-    if len(exclude):
-        lp = lp - dist.complement_log_mass(_sample_indices(exclude))
-    return lr.elements, np.exp(lp) * lr.ratios
+    excluded = _exclusion_rows(exclude, len(rows))
+    if excluded.size:
+        lp = lp - _complement_log_masses(dist, excluded)[:, None]
+    w = np.exp(lp) * lr.ratios
+    return (lr.elements[0], w[0]) if single else (lr.elements, w)
 
 
 def sum_and_sample_weights(dist: CategoricalDist, B, m: int = 1):
     """Weights of the stochastic sum-and-sample estimator with split m, in the
-    draw order of B: ``(indices of B, weights)``.
+    draw order of B: ``(indices of B, weights)``.  B may be a (batch, k)
+    array of ordered samples; both results then have one row per sample.
 
     The first k-m drawn elements contribute their exact probabilities; the
     remaining mass is spread over the last m elements using the restricted
     first-draw posterior, so the weights total exactly 1.
     """
-    idx = _sample_indices(B)
-    k = len(idx)
+    idx, single = _as_rows(B)
+    k = idx.shape[1]
     if not 1 <= m < k:
         raise InvalidSplit(f"need 1 <= m < k, got m={m}, k={k}")
-    head = idx[: k - m]
-    rest_mass = math.exp(dist.complement_log_mass(head))
-    _, tail_post = posterior_weights(dist, np.sort(idx), exclude=head)
-    w = np.empty(k)
-    w[: k - m] = np.exp(dist.log_probs[head])
-    w[k - m + np.argsort(idx[k - m:], kind="stable")] = rest_mass * tail_post
-    return idx, w
+    head = idx[:, : k - m]
+    rest_mass = _complement_masses(dist, head)
+    _, tail_post = posterior_weights(dist, np.sort(idx, axis=1), exclude=head)
+    w = np.empty(idx.shape)
+    w[:, : k - m] = np.exp(dist.log_probs[head])
+    tail = k - m + idx[:, k - m:].argsort(axis=1, kind="stable")
+    w[np.arange(len(idx))[:, None], tail] = rest_mass[:, None] * tail_post
+    return (idx[0], w[0]) if single else (idx, w)
 
 
 def det_sum_and_sample_split(dist: CategoricalDist, k: int) -> np.ndarray:
@@ -192,11 +219,12 @@ def importance_weights(dist: CategoricalDist, S, kappa):
 # ---------------------------------------------------------------------------
 # coefs functions
 #
-# Each maps (dist, points, fv, r) to (elements, coefs): ``points`` are the
-# sample's evaluation points in the order its law draws them, ``fv`` the
-# objective at those points, and ``r`` the importance weights p/q of the
-# threshold law (None for every other law).  The threshold formulas broadcast
-# over leading axes of ``r``: the oracle passes one row per quadrature node.
+# Each maps (dist, points, fv, r) to (elements, coefs): ``points`` is a
+# (B, k) array whose rows are samples' evaluation points in the order their
+# law draws them, ``fv`` the objective at those points, and ``r`` the
+# importance weights p/q of the threshold law (None for every other law).
+# The threshold formulas broadcast ``r`` against one sample's row: the oracle
+# passes one row of weights per quadrature node.
 
 
 def _posterior_coefs(dist, S, fv, r=None):
@@ -207,11 +235,11 @@ def _posterior_coefs(dist, S, fv, r=None):
 def _baseline_terms(dist, S, fv):
     """Elements, first-draw posterior w and the leave-one-out baseline b of
     every element, estimated from the others by second-order ratios."""
-    if len(S) < 2:
+    if S.shape[1] < 2:
         raise NeedTwoSamples("the built-in baseline needs at least two samples")
     lr = loo_ratios(dist, S, order=2)
     p_el = np.exp(dist.log_probs[lr.elements])
-    return lr.elements, p_el * lr.ratios, lr.second_order @ (p_el * fv)
+    return lr.elements, p_el * lr.ratios, (lr.second_order @ (p_el * fv)[:, :, None])[:, :, 0]
 
 
 def _uspg_baseline_coefs(dist, S, fv, r=None):
@@ -227,9 +255,9 @@ def _stoch_sas_coefs(dist, B, fv, r=None, *, m):
 def _det_sas_coefs(dist, points, fv, r=None):
     """``points`` are the deterministic head followed by the one sampled
     element, which stands for the mass outside the head."""
-    head = points[:-1]
-    w = np.append(dist.probs[head], math.exp(dist.complement_log_mass(head)))
-    return points, w * fv
+    head = points[:, :-1]
+    rest_mass = _complement_masses(dist, head)
+    return points, np.concatenate([dist.probs[head], rest_mass[:, None]], axis=1) * fv
 
 
 def _iw_coefs(dist, S, fv, r):
@@ -240,46 +268,46 @@ def _iw_baseline_coefs(dist, S, fv, r):
     """Each term is reweighted by 1 - p(s) + p(s)/q(s) to correct for the
     sample-dependent baseline B = sum_s r(s) f(s), keeping it unbiased."""
     p_el = np.exp(dist.log_probs[S])
-    return S, r * (fv * (1.0 - p_el + r) - (r @ fv)[..., None])
+    return S, r * (fv * (1.0 - p_el + r) - _rowdot(r, fv)[..., None])
 
 
 def _iw_normalized_coefs(dist, S, fv, r):
     """Per-term normalizers W - r(s) + p(s): biased, lower variance."""
     p_el = np.exp(dist.log_probs[S])
-    W = np.sum(r, axis=-1, keepdims=True)
-    return S, (r / (W - r + p_el)) * (fv - (r @ fv)[..., None] / W)
+    W = r.sum(axis=-1, keepdims=True)
+    return S, (r / (W - r + p_el)) * (fv - _rowdot(r, fv)[..., None] / W)
 
 
 def _reinforce_coefs(dist, X, fv, r=None):
-    return X, fv / len(X)
+    return X, fv / X.shape[1]
 
 
 def _reinforce_baseline_coefs(dist, X, fv, r=None):
     """Each draw centered by the mean objective of the other k-1 draws."""
-    k = len(X)
+    k = X.shape[1]
     if k < 2:
         raise NeedTwoSamples("the leave-one-out baseline needs at least two samples")
-    return X, (fv - (np.sum(fv) - fv) / (k - 1)) / k
+    return X, (fv - (fv.sum(axis=1, keepdims=True) - fv) / (k - 1)) / k
 
 
 def _paired_baseline_coefs(dist, points, fv, r=None):
     """``points`` are k draws followed by their k paired baseline draws."""
-    k = len(points) // 2
-    return points[:k], (fv[:k] - fv[k:]) / k
+    k = points.shape[1] // 2
+    return points[:, :k], (fv[:, :k] - fv[:, k:]) / k
 
 
 def _risk_coefs(dist, S, fv, r=None):
     """p(s)/W with W = sum_S p, differentiated explicitly, normalizer included."""
     p_el = np.exp(dist.log_probs[S])
-    W = float(np.sum(p_el))
-    return S, fv * p_el / W - (float(np.dot(p_el, fv)) / W**2) * p_el
+    W = p_el.sum(axis=1, keepdims=True)
+    return S, fv * p_el / W - (_rowdot(p_el, fv)[:, None] / W**2) * p_el
 
 
 def _risk_baseline_coefs(dist, S, fv, r=None):
     """The same gradient with the normalizer's term as a built-in baseline."""
     p_el = np.exp(dist.log_probs[S])
-    W = float(np.sum(p_el))
-    return S, (p_el / W) * (fv - float(np.dot(p_el / W, fv)))
+    W = p_el.sum(axis=1, keepdims=True)
+    return S, (p_el / W) * (fv - _rowdot(p_el / W, fv)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -392,27 +420,34 @@ def estimator_spec(estimator_id: str) -> EstimatorSpec:
 
 
 def _estimate(spec: EstimatorSpec, dist: CategoricalDist, points, obj, r=None):
-    """One sample's estimate: a float for value estimators, else the logit
-    gradient."""
+    """The estimates of a (B, k) batch of samples: B values for value
+    estimators, else a (B, n) array of logit gradients."""
     if spec.output != VALUE:
         _require_logits(dist)
     if spec.output == PATHWISE and not obj.has_param_grad:
         raise NoPathwiseGradient("objective provides no parameter gradient")
-    elements, coefs = spec.coefs(dist, points, obj.values_at(points), r)
+    elements, coefs = spec.coefs(dist, points, obj.values_at(points).reshape(points.shape), r)
     if spec.output == VALUE:
-        return float(np.sum(coefs))
+        return coefs.sum(axis=1)
     grad = _score_sum(dist, elements, coefs)
     if spec.output == PATHWISE:
         # The estimators are linear in f, so their weights are the coefs at f = 1.
-        _, w = spec.coefs(dist, points, np.ones(len(points)), r)
-        for s, ws in zip(elements, w):
-            grad = grad + ws * obj.param_grad_at(int(s))
+        _, w = spec.coefs(dist, points, np.ones(points.shape), r)
+        for col, ws in zip(elements.T, w.T):
+            grad = grad + ws[:, None] * np.array([obj.param_grad_at(s) for s in col.tolist()])
     return grad
+
+
+def _estimate_one(spec: EstimatorSpec, dist: CategoricalDist, points, obj, r=None):
+    """One sample's estimate, the B = 1 row of ``_estimate``: a float for
+    value estimators, else the logit gradient."""
+    out = _estimate(spec, dist, points[None], obj, None if r is None else r[None])[0]
+    return float(out) if spec.output == VALUE else out
 
 
 def _grad_estimate(estimator_id, dist, points, f, k, r=None, seed=None) -> GradEstimate:
     spec = ESTIMATORS[estimator_id]
-    grad = _estimate(spec, dist, points, as_objective(f), r)
+    grad = _estimate_one(spec, dist, points, as_objective(f), r)
     return GradEstimate(grad, estimator_id, k=k, evals=spec.law.evals(k, dist.n), seed=seed)
 
 
@@ -423,13 +458,14 @@ def _grad_estimate(estimator_id, dist, points, f, k, r=None, seed=None) -> GradE
 def unordered_set_estimate(dist: CategoricalDist, S, f) -> float:
     """sum_{s in S} p(s) R(S, s) f(s): the conditional mean of f at the first
     draw given the unordered sample, hence unbiased for E[f]."""
-    return _estimate(ESTIMATORS[UNORDERED_SET], dist, _index_set(S, dist.n), as_objective(f))
+    return _estimate_one(ESTIMATORS[UNORDERED_SET], dist, _index_set(S, dist.n), as_objective(f))
 
 
 def stoch_sum_and_sample(dist: CategoricalDist, B, f, m: int = 1) -> float:
     """Sum the first k-m drawn terms exactly; estimate the remainder from the
     last m draws via the restricted unordered set estimator."""
-    return _estimate(estimator_spec(stoch_sas_id(m)), dist, _sample_indices(B), as_objective(f))
+    spec = estimator_spec(stoch_sas_id(m))
+    return _estimate_one(spec, dist, _sample_indices(B), as_objective(f))
 
 
 def det_sum_and_sample(dist: CategoricalDist, f, k: int, rng: Rng) -> float:
@@ -437,13 +473,13 @@ def det_sum_and_sample(dist: CategoricalDist, f, k: int, rng: Rng) -> float:
     from the renormalized remainder."""
     spec = ESTIMATORS[DET_SUM_AND_SAMPLE]
     points, _ = spec.law.draw(rng, dist, k)
-    return _estimate(spec, dist, points, as_objective(f))
+    return _estimate_one(spec, dist, points, as_objective(f))
 
 
 def importance_weighted(dist: CategoricalDist, S, kappa, f) -> float:
     """Priority-sampling estimate sum_{s in S} p(s)/q(s, kappa) f(s)."""
     elements, r = importance_weights(dist, S, kappa)
-    return _estimate(ESTIMATORS[IMPORTANCE_WEIGHTED], dist, elements, as_objective(f), r)
+    return _estimate_one(ESTIMATORS[IMPORTANCE_WEIGHTED], dist, elements, as_objective(f), r)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +508,13 @@ def uspg_baseline_control_variate(dist: CategoricalDist, S, f) -> np.ndarray:
     """The subtracted control-variate term of the baseline estimator,
     sum_s grad-p(s) R(S, s) * baseline(s); its expectation over S is zero."""
     _require_logits(dist)
-    S = _index_set(S, dist.n)
-    elements, w, b = _baseline_terms(dist, S, as_objective(f).values_at(S))
+    S = _index_set(S, dist.n)[None]
+    return _control_variate(dist, S, as_objective(f).values_at(S)[None])[0]
+
+
+def _control_variate(dist: CategoricalDist, S, fv) -> np.ndarray:
+    """``uspg_baseline_control_variate`` of each row of a (B, k) batch of sets."""
+    elements, w, b = _baseline_terms(dist, S, fv)
     return _score_sum(dist, elements, w * b)
 
 

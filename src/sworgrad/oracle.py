@@ -6,11 +6,14 @@ ordered-sample probabilities come from the sequential chain rule, unordered
 probabilities from summing orderings, and threshold-dependent estimators are
 integrated against the conditional threshold density by adaptive quadrature.
 
-Each sample space is passed over once per estimator: ``_sample_outputs``
-lists every sample with its probability and the estimator's output, and
-``_threshold_pass`` integrates the threshold estimators once per set.  The
-theorem report reads both the moments and the per-set conditional checks
-from that one pass.
+Each sample space is enumerated once and passed over once per estimator:
+``_SPACES`` lists every sample of a law as one row of a (B, k) index array
+with its probability, ``_sample_outputs`` evaluates the estimator on the
+whole space as one batch (one call of the estimator table and of the exact
+kernel), and ``_threshold_pass`` integrates the threshold estimators once
+per set.  The theorem report builds the set and ordered spaces once per
+instance and reads both the moments and the per-set conditional checks from
+those passes.
 """
 from __future__ import annotations
 
@@ -93,6 +96,10 @@ def enumerate_unordered(dist: CategoricalDist, k: int) -> EnumeratedSampleSpace:
     count = math.perm(dist.n, k)
     if count > SPACE_CAP:
         raise SpaceTooLarge(f"{count} orderings exceed {SPACE_CAP}")
+    if k == dist.n:
+        # The whole domain is drawn with certainty; its ordering sum would
+        # only round away from 1.
+        return EnumeratedSampleSpace([(UnorderedSample(np.arange(k)), 1.0)], 1.0)
     probs = dist.probs
     acc: dict = {}
     for perm in itertools.permutations(range(dist.n), k):
@@ -110,19 +117,21 @@ def enumerate_unordered(dist: CategoricalDist, k: int) -> EnumeratedSampleSpace:
 _QUAD_SHIFT = 5.0
 
 
-def _romberg_row(vals: np.ndarray) -> np.ndarray:
-    """Richardson-extrapolated trapezoid over [0, 1] from values on a uniform
-    grid whose interval count is a multiple of 8; cancels h^2..h^6 terms."""
-    def trap(v, h):
-        return h * (np.sum(v, axis=0) - 0.5 * (v[0] + v[-1]))
+# Most nodes the integrand is called on at once: the ladder's memory stays
+# bounded whatever the node count.
+_CHUNK_NODES = 4096
 
-    n = len(vals)
-    h = 1.0 / (n - 1)
-    row = [trap(vals, h), trap(vals[::2], 2 * h), trap(vals[::4], 4 * h), trap(vals[::8], 8 * h)]
-    for level in range(1, 4):
-        factor = 4.0**level
-        row = [(factor * fine - coarse) / (factor - 1.0) for fine, coarse in zip(row, row[1:])]
-    return row[0]
+
+def _midpoint_sum(func, intervals: int):
+    """Sum of ``func`` over the odd nodes j / intervals of a grid (the
+    abscissae ``np.linspace`` gives), clipped inside (0, 1) and evaluated at
+    most ``_CHUNK_NODES`` at a time."""
+    h = 1.0 / intervals
+    total = 0.0
+    for lo in range(1, intervals, 2 * _CHUNK_NODES):
+        j = np.arange(lo, min(intervals, lo + 2 * _CHUNK_NODES), 2, dtype=float)
+        total = total + np.sum(func(np.clip(j * h, _U_CLIP, 1.0 - _U_CLIP)), axis=0)
+    return total
 
 
 def _adaptive_trapezoid(func, tol: float, start_nodes: int = 129, max_nodes: int = 65537):
@@ -131,29 +140,40 @@ def _adaptive_trapezoid(func, tol: float, start_nodes: int = 129, max_nodes: int
     ``func`` maps an array of nodes in (0, 1) to integrand values of shape
     ``(len(nodes), ...)``; endpoint values are taken just inside the interval.
     The node count runs 129, 257, ..., 65537; at ``max_nodes`` the last
-    estimate is returned even if it has not converged.  Each rung keeps the
-    values of the previous one, whose nodes are its even nodes, and calls
-    ``func`` only on the new midpoints, so every node is evaluated once.
+    estimate is returned even if it has not converged.
+
+    Each rung's estimate is the Richardson extrapolation (cancelling the h^2
+    to h^6 terms) of the trapezoid sums at strides 1, 2, 4 and 8.  They are
+    kept as running sums: halving h turns the stride-2^j sum into the
+    stride-2^(j+1) one, and only the stride-1 sum gains the new midpoints.
+    So every node is evaluated once, in chunks of at most ``_CHUNK_NODES``
+    nodes, and no grid is stored.
     """
-    nodes = start_nodes
-    vals = func(np.clip(np.linspace(0.0, 1.0, nodes), _U_CLIP, 1.0 - _U_CLIP))
+    intervals = start_nodes - 1
+    if intervals % 8 or start_nodes > _CHUNK_NODES:
+        raise ValueError(f"start_nodes - 1 must be a multiple of 8 below {_CHUNK_NODES}")
+    h = 1.0 / intervals
+    vals = func(np.clip(np.linspace(0.0, 1.0, start_nodes), _U_CLIP, 1.0 - _U_CLIP))
+    ends = vals[0] + vals[-1]
+    sums = [np.sum(vals[:: 2**j], axis=0) for j in range(4)]
     prev = None
     while True:
-        total = _romberg_row(vals)
+        row = [(2**j * h) * (sums[j] - 0.5 * ends) for j in range(4)]
+        for level in range(1, 4):
+            factor = 4.0**level
+            row = [(factor * fine - coarse) / (factor - 1.0) for fine, coarse in zip(row, row[1:])]
+        total = row[0]
         if prev is not None:
             err = np.max(np.abs(total - prev))
             scale = max(float(np.max(np.abs(total))), 1e-30)
             if err <= tol * scale:
                 return total
-        if nodes >= max_nodes:
+        if intervals + 1 >= max_nodes:
             return total
         prev = total
-        nodes = 2 * (nodes - 1) + 1
-        mids = func(np.clip(np.linspace(0.0, 1.0, nodes)[1::2], _U_CLIP, 1.0 - _U_CLIP))
-        finer = np.empty((nodes,) + vals.shape[1:])
-        finer[0::2] = vals
-        finer[1::2] = mids
-        vals = finer
+        intervals *= 2
+        h = 1.0 / intervals
+        sums = [sums[0] + _midpoint_sum(func, intervals)] + sums[:3]
 
 
 def _kappa_path(dist: CategoricalDist, S_idx):
@@ -224,7 +244,7 @@ def _threshold_integrals(spec, dist, S_idx, obj, project, tol):
         q = _q_matrix(dist, S_idx, kappa_of(v))
         with np.errstate(divide="ignore"):
             w = weight_of(v) * np.exp(np.sum(np.log(q), axis=1))
-            _, coefs = spec.coefs(dist, S_idx, fv, p_el / q)
+            _, coefs = spec.coefs(dist, S_idx[None], fv[None], p_el / q)
         out = coefs @ out_map
         cols = [w[:, None] * (coefs if per_coef else out)]
         if want_second:
@@ -281,23 +301,33 @@ def _moments_from_entries(values, probs):
     return mean, var
 
 
-def _maybe_project(vec, project):
-    if project is None or np.ndim(vec) == 0:
-        return vec
-    return float(np.dot(np.asarray(vec, dtype=float), np.asarray(project, dtype=float)))
+def _project(outputs, project):
+    """Each gradient row of ``outputs`` dotted with ``project``; values, and
+    every output when ``project`` is None, pass through."""
+    if project is None or outputs.ndim == 1:
+        return outputs
+    return est._rowdot(outputs, np.asarray(project, dtype=float))
 
 
-# Sample spaces by sampling law: ``space(dist, k)`` lists every sample as
-# ``(points, r)``, the way the law's draw returns it, with its probability.
+# Sample spaces by sampling law: ``space(dist, k)`` returns every sample as
+# one row of a (B, points) index array, the points the law's draw returns,
+# and the list of their probabilities.
+
+def _space_of(enumerated: EnumeratedSampleSpace):
+    """An enumerated space as its samples, one per row, and their
+    probabilities."""
+    return (
+        np.array([s.indices for s, _ in enumerated.entries]),
+        [p for _, p in enumerated.entries],
+    )
+
 
 def _set_space(dist, k):
-    space = enumerate_unordered(dist, k)
-    return [(s.indices, None) for s, _ in space.entries], [p for _, p in space.entries]
+    return _space_of(enumerate_unordered(dist, k))
 
 
 def _ordered_space(dist, k):
-    space = enumerate_ordered(dist, k)
-    return [(b.indices, None) for b, _ in space.entries], [p for _, p in space.entries]
+    return _space_of(enumerate_ordered(dist, k))
 
 
 def _iid_space(law):
@@ -306,9 +336,8 @@ def _iid_space(law):
         draws = law.evals(k, dist.n)
         if dist.n**draws > SPACE_CAP:
             raise SpaceTooLarge(f"{dist.n**draws} with-replacement samples exceed {SPACE_CAP}")
-        probs = dist.probs
-        samples = [np.array(X) for X in itertools.product(range(dist.n), repeat=draws)]
-        return [(X, None) for X in samples], [float(np.prod(probs[X])) for X in samples]
+        samples = np.array(list(itertools.product(range(dist.n), repeat=draws)))
+        return samples, np.prod(dist.probs[samples], axis=1).tolist()
     return space
 
 
@@ -317,11 +346,11 @@ def _det_split_space(dist, k):
     rest_mass = math.exp(dist.complement_log_mass(C))
     probs = dist.probs
     rest = [x for x in range(dist.n) if x not in set(C.tolist())]
-    return [(np.append(C, x), None) for x in rest], [probs[x] / rest_mass for x in rest]
+    return np.array([np.append(C, x) for x in rest]), [probs[x] / rest_mass for x in rest]
 
 
 def _full_space(dist, k):
-    return [(np.arange(dist.n), None)], [1.0]
+    return np.arange(dist.n)[None], [1.0]
 
 
 # Laws that draw k distinct elements, so k may not exceed the domain size.
@@ -338,17 +367,12 @@ _SPACES = {
 }
 
 
-def _sample_outputs(spec, dist, obj, k, project):
-    """The sample space of the spec's law at size k as three lists: the
-    ``(points, r)`` samples, their probabilities and the estimator's output on
-    each (projected when ``project`` is given).  Not for the threshold law,
-    which ``_threshold_pass`` integrates."""
-    samples, probs = _SPACES[spec.law](dist, k)
-    outputs = [
-        _maybe_project(est._estimate(spec, dist, points, obj, r), project)
-        for points, r in samples
-    ]
-    return samples, probs, outputs
+def _sample_outputs(spec, dist, obj, points, project):
+    """The estimator's output on every sample of a space, as one batch: the
+    rows of ``points`` in, one value or gradient row per sample out
+    (projected when ``project`` is given).  Not for the threshold law, which
+    ``_threshold_pass`` integrates."""
+    return _project(est._estimate(spec, dist, points, obj), project)
 
 
 def estimator_moments(
@@ -376,25 +400,23 @@ def estimator_moments(
         raise InvalidSampleSize(f"k={k} outside [1, {dist.n}] for {kind!r}")
     obj = as_objective(f)
     if spec.law == est.THRESHOLD:
-        return _threshold_moments(*_threshold_pass(spec, dist, obj, k, project, quad_tol))
-    _, probs, outputs = _sample_outputs(spec, dist, obj, k, project)
-    return _moments_from_entries(outputs, probs)
+        sets = np.array(list(itertools.combinations(range(dist.n), k)))
+        return _threshold_moments(*_threshold_pass(spec, dist, obj, sets, project, quad_tol))
+    points, probs = _SPACES[spec.law](dist, k)
+    return _moments_from_entries(_sample_outputs(spec, dist, obj, points, project), probs)
 
 
-def _threshold_pass(spec, dist, obj, k, project, tol):
-    """One pass over the sets of size k, in increasing lexicographic order
-    (that of ``enumerate_unordered``): the means and the second moments of
-    ``_threshold_integrals``, one per set.  At k = n the threshold is the
-    sentinel, q = 1 and p(S) = 1: they are the estimate and its squared norm.
+def _threshold_pass(spec, dist, obj, sets, project, tol):
+    """One pass over the sets, the rows of ``sets``: the means and the second
+    moments of ``_threshold_integrals``, one per set.  At k = n the threshold
+    is the sentinel, q = 1 and p(S) = 1: they are the estimate and its
+    squared norm.
     """
-    if k == dist.n:
+    if sets.shape[1] == dist.n:
         points, r = est.importance_weights(dist, np.arange(dist.n), None)
-        out = _maybe_project(est._estimate(spec, dist, points, obj, r), project)
+        out = _project(est._estimate(spec, dist, points[None], obj, r[None]), project)[0]
         return [out], [float(np.dot(out, out))]
-    sets = itertools.combinations(range(dist.n), k)
-    means, seconds = zip(
-        *(_threshold_integrals(spec, dist, np.array(S), obj, project, tol) for S in sets)
-    )
+    means, seconds = zip(*(_threshold_integrals(spec, dist, S, obj, project, tol) for S in sets))
     return means, seconds
 
 
@@ -409,16 +431,14 @@ def _threshold_moments(means, seconds):
 # ---------------------------------------------------------------------------
 # theorem report
 
-def _posterior_from_orderings(dist, k):
-    """First-draw posterior per set, aggregated from the ordered sample space;
-    independent of the leave-one-out kernels."""
-    space = enumerate_ordered(dist, k)
+def _posterior_from_orderings(points, probs):
+    """First-draw posterior per set, aggregated from the ordered sample space
+    (its rows and their probabilities); independent of the leave-one-out
+    kernels."""
     by_set: dict = {}
-    for b, p in space.entries:
-        key = tuple(sorted(b.indices.tolist()))
-        vec = by_set.setdefault(key, {})
-        first = int(b.indices[0])
-        vec[first] = vec.get(first, 0.0) + p
+    for perm, p in zip(points.tolist(), probs):
+        vec = by_set.setdefault(tuple(sorted(perm)), {})
+        vec[perm[0]] = vec.get(perm[0], 0.0) + p
     out = {}
     for key, vec in by_set.items():
         mass = math.fsum(vec.values())
@@ -461,41 +481,44 @@ def theorem_report(
         exact_g = exact_gradient(dist, f)
         exact_g_full = exact_gradient(dist, obj_full)
 
-        # One enumeration of the sets serves every per-set check: us_vals is
-        # the unordered-set estimate of each set, in the order of the sets.
-        sets, set_probs, us_vals = _sample_outputs(
-            est.ESTIMATORS[est.UNORDERED_SET], dist, obj, k, None
-        )
-        keys = [tuple(S.tolist()) for S, _ in sets]
+        # Each space is enumerated once and every estimator on it runs as
+        # one batch; the outputs follow the rows of the space.
+        set_points, set_probs = _set_space(dist, k)
+        ordered_points, ordered_probs = _ordered_space(dist, k)
+
+        def outputs(eid, objective, points):
+            return _sample_outputs(est.estimator_spec(eid), dist, objective, points, None)
+
+        us_vals = outputs(est.UNORDERED_SET, obj, set_points)
+        keys = [tuple(S) for S in set_points.tolist()]
         mean_us, var_us = _moments_from_entries(us_vals, set_probs)
         track("unordered-set-unbiased", 1e-9, abs(mean_us - exact_e))
 
-        posterior = _posterior_from_orderings(dist, k)
+        posterior = _posterior_from_orderings(ordered_points, ordered_probs)
         for key, us_val in zip(keys, us_vals):
             post_val = float(np.dot(posterior[key], f[list(key)]))
             track("first-draw-posterior-matches-set-estimate", 1e-10, abs(post_val - us_val))
 
-        mean, _ = estimator_moments(est.UNORDERED_SET_PG, dist, f, k)
-        track("uspg-unbiased", 1e-9, np.max(np.abs(mean - exact_g)))
-        mean, _ = estimator_moments(est.UNORDERED_SET_PG_BL, dist, f, k)
-        track("uspg-baseline-unbiased", 1e-9, np.max(np.abs(mean - exact_g)))
-        mean, _ = estimator_moments(est.FULL_UNORDERED_SET_PG, dist, obj_full, k)
-        track("full-uspg-unbiased", 1e-9, np.max(np.abs(mean - exact_g_full)))
+        for name, eid, objective, exact in (
+            ("uspg-unbiased", est.UNORDERED_SET_PG, obj, exact_g),
+            ("uspg-baseline-unbiased", est.UNORDERED_SET_PG_BL, obj, exact_g),
+            ("full-uspg-unbiased", est.FULL_UNORDERED_SET_PG, obj_full, exact_g_full),
+        ):
+            mean, _ = _moments_from_entries(outputs(eid, objective, set_points), set_probs)
+            track(name, 1e-9, np.max(np.abs(mean - exact)))
 
-        cv_mean = np.zeros(n)
-        for (S, _), p in zip(sets, set_probs):
-            cv_mean = cv_mean + p * est.uspg_baseline_control_variate(dist, S, f)
+        set_f = obj.values_at(set_points).reshape(set_points.shape)
+        cv = est._control_variate(dist, set_points, set_f)
+        cv_mean = np.sum(np.array(set_probs)[:, None] * cv, axis=0)
         track("control-variate-zero-mean", 1e-10, np.max(np.abs(cv_mean / math.fsum(set_probs))))
 
+        ordered_keys = [tuple(sorted(B)) for B in ordered_points.tolist()]
         for m in [1] + ([2] if k >= 3 else []):
-            samples, probs, sas_vals = _sample_outputs(
-                est.estimator_spec(est.stoch_sas_id(m)), dist, obj, k, None
-            )
-            mean, var_sas = _moments_from_entries(sas_vals, probs)
+            sas_vals = outputs(est.stoch_sas_id(m), obj, ordered_points)
+            mean, var_sas = _moments_from_entries(sas_vals, ordered_probs)
             track("stoch-sum-and-sample-unbiased", 1e-9, abs(mean - exact_e))
             cond: dict = {}
-            for (B, _), p, val in zip(samples, probs, sas_vals):
-                key = tuple(sorted(B.tolist()))
+            for key, p, val in zip(ordered_keys, ordered_probs, sas_vals.tolist()):
                 tot, acc = cond.get(key, (0.0, 0.0))
                 cond[key] = (tot + p, acc + p * val)
             for key, us_val in zip(keys, us_vals):
@@ -512,7 +535,7 @@ def theorem_report(
         # One threshold integral per set gives the moments and, divided by the
         # set's chain-rule probability, the conditional mean given the set.
         iw_means, iw_seconds = _threshold_pass(
-            est.ESTIMATORS[est.IMPORTANCE_WEIGHTED], dist, obj, k, None, quad_tol
+            est.ESTIMATORS[est.IMPORTANCE_WEIGHTED], dist, obj, set_points, None, quad_tol
         )
         mean_iw, var_iw = _threshold_moments(iw_means, iw_seconds)
         track("importance-weighted-unbiased", 1e-6, abs(mean_iw - exact_e))
@@ -521,10 +544,9 @@ def theorem_report(
         for iw_mean, p, us_val in zip(iw_means, set_probs, us_vals):
             track("importance-weighted-conditional", 1e-6, abs(iw_mean / p - us_val))
 
-        for S, _ in sets:
-            gd = est.risk_grad(dist, S, f, form="direct").grad
-            gb = est.risk_grad(dist, S, f, form="baseline").grad
-            track("risk-form-equivalence", 1e-10, np.max(np.abs(gd - gb)))
+        gd = outputs(est.RISK, obj, set_points)
+        gb = outputs(est.RISK_BL_FORM, obj, set_points)
+        track("risk-form-equivalence", 1e-10, np.max(np.abs(gd - gb)))
 
         mean, _ = estimator_moments(est.REINFORCE_WR, dist, f, k)
         track("reinforce-wr-unbiased", 1e-9, np.max(np.abs(mean - exact_g)))

@@ -32,12 +32,20 @@ R^{D \\ {s}}(S, s') = p^{D \\ {s, s'}}(S \\ {s, s'}) / p^{D \\ {s}}(S \\ {s}).
 ``_AUTO_EXACT_MAX_K`` free elements and quadrature beyond; queries whose
 alternating sum cancels share one quadrature grid.
 
+The kernels take a batch: B sets of one size, one per row of a (B, k)
+index array, with one exclusion per row.  ``exact`` builds one (B, 2^m)
+subset table for them all, keeps one ``math.fsum`` per query and row, and
+sends only the rows that cancel to quadrature, one row at a time; ``naive``
+and ``integral`` run row by row.
+``loo_ratios`` of one set is the B = 1 row of the same computation.
+
 ``p_set_naive``, ``p_set_exact`` and ``p_set_integral`` are the one-query
 forms of the same kernels: each asks for the single query that excludes
 nothing more, log p^{D \\ C}(S \\ C).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -73,7 +81,8 @@ class LooRatios:
     ``elements`` are the set elements in increasing order, ``ratios[i]`` is
     R(S, elements[i]), ``log_p_set`` is log p(S), and ``second_order`` (when
     requested) is the matrix R^{D \\ {elements[i]}}(S, elements[j]) with unit
-    diagonal.
+    diagonal.  For a batch of B sets every field gains a leading axis of
+    length B, and ``log_p_set`` is an array.
     """
 
     elements: np.ndarray
@@ -88,13 +97,26 @@ def _sample_indices(sample) -> np.ndarray:
     return np.asarray(getattr(sample, "indices", sample), dtype=int).ravel()
 
 
+def _as_rows(sample):
+    """The indices of one sample as a 1 x k array, or of a batch of samples
+    (a 2-D array, one per row) as they are; and whether it was one sample."""
+    idx = np.asarray(getattr(sample, "indices", sample), dtype=int)
+    if idx.ndim == 2:
+        return idx, False
+    return idx.reshape(1, -1), True
+
+
 def _out_of_range(n: int) -> ValueError:
     return ValueError(f"set elements out of range for domain of size {n}")
 
 
+def _not_contained() -> ValueError:
+    return ValueError("excluded set C must be contained in S")
+
+
 def _index_set(S, n: int) -> np.ndarray:
     """The indices of S in increasing order; ValueError unless they are
-    distinct and inside range(n).  The one check of a sampled set; it works on
+    distinct and inside range(n).  The check of one sampled set; it works on
     Python ints because numpy's per-call cost dominates for a few elements."""
     idx = sorted(_sample_indices(S).tolist())
     if len(set(idx)) != len(idx):
@@ -102,6 +124,19 @@ def _index_set(S, n: int) -> np.ndarray:
     if idx and (idx[0] < 0 or idx[-1] >= n):
         raise _out_of_range(n)
     return np.array(idx, dtype=int)
+
+
+def _index_rows(S: np.ndarray, n: int) -> np.ndarray:
+    """``_index_set`` of each row of the 2-D array S, as one array.  One row
+    is ``_index_set`` itself; more rows are its row-wise form."""
+    if len(S) == 1:
+        return _index_set(S[0], n)[None]
+    idx = np.sort(S, axis=1)
+    if (idx[:, 1:] == idx[:, :-1]).any():
+        raise ValueError("set elements must be distinct in every row")
+    if idx.size and (idx[:, 0].min() < 0 or idx[:, -1].max() >= n):
+        raise _out_of_range(n)
+    return idx
 
 
 def _draw_indices(X, n: int) -> np.ndarray:
@@ -113,22 +148,83 @@ def _draw_indices(X, n: int) -> np.ndarray:
     return idx
 
 
+def _math_exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of every entry: libm's exp, which the scalar kernels always
+    used.  numpy's vectorised exp differs from it in the last bit on some
+    inputs, and fixed-seed outputs would move."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _log_sum_exp_rows(values: np.ndarray) -> np.ndarray:
+    """``log_sum_exp`` of each row of a 2-D array whose rows each hold a
+    finite value.  One row is ``log_sum_exp`` itself; more rows are its
+    row-wise form, with the same float arithmetic."""
+    if len(values) == 1:
+        return np.array([log_sum_exp(values[0])])
+    hi = values.max(axis=1)
+    sums = np.exp(values - hi[:, None]).sum(axis=1)
+    return np.array([h + math.log(s) for h, s in zip(hi.tolist(), sums.tolist())])
+
+
+def _complement_log_masses(dist: CategoricalDist, C: np.ndarray) -> np.ndarray:
+    """``dist.complement_log_mass`` of each row of C (distinct indices per
+    row).  One row is that method itself; more rows are its row-wise form,
+    with the same float arithmetic."""
+    B, c = C.shape
+    if B == 1:
+        return np.array([dist.complement_log_mass(C[0])])
+    if c == dist.n:
+        return np.full(B, -math.inf)
+    keep = np.ones((B, dist.n), dtype=bool)
+    keep[np.arange(B)[:, None], C] = False
+    return _log_sum_exp_rows(dist.log_probs[np.nonzero(keep)[1]].reshape(B, -1))
+
+
+def _complement_masses(dist: CategoricalDist, C: np.ndarray) -> np.ndarray:
+    """The probability mass outside each row of C, as libm's exp of
+    ``_complement_log_masses``."""
+    if len(C) == 1:
+        return np.array([math.exp(dist.complement_log_mass(C[0]))])
+    return _math_exp(_complement_log_masses(dist, C))
+
+
+def _exclusion_rows(C, B: int) -> np.ndarray:
+    """An exclusion as a (B, c) array: C is empty, one set excluded from
+    every row, or already one set per row."""
+    C = np.asarray(getattr(C, "indices", C), dtype=int)
+    if C.ndim == 2:
+        return C
+    return C.reshape(1, -1) if B == 1 else C.reshape(1, -1).repeat(B, axis=0)
+
+
 _BACKENDS = ("auto", "naive", "exact", "integral")
 
 
 def _split_sets(dist: CategoricalDist, S, C, backend: str, nodes: int):
-    """The argument checks every entry point shares: S and C as sorted tuples,
-    and the free elements S \\ C."""
+    """The argument checks every entry point shares.  S is a 2-D array of
+    sets, one per row, and C an exclusion as ``_exclusion_rows`` takes it.
+    Returns S and C as sorted rows and the free elements S \\ C of each row."""
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    S = tuple(_index_set(S, dist.n).tolist())
-    C = tuple(_index_set(C, dist.n).tolist())
-    excluded = set(C)
-    if not excluded <= set(S):
-        raise ValueError("excluded set C must be contained in S")
+    S = _index_rows(S, dist.n)
+    C = _exclusion_rows(C, len(S))
+    rest = S
+    if C.size:
+        C = _index_rows(C, dist.n)
+        # One row is checked on Python ints, as in _index_set.
+        if len(S) == 1:
+            excluded = set(C[0].tolist())
+            if not excluded <= set(S[0].tolist()):
+                raise _not_contained()
+            rest = np.array([[s for s in S[0].tolist() if s not in excluded]], dtype=int)
+        else:
+            inside = S[:, :, None] == C[:, None, :]
+            if not inside.any(axis=1).all():
+                raise _not_contained()
+            rest = S[~inside.any(axis=2)].reshape(len(S), -1)
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
-    return S, C, tuple(s for s in S if s not in excluded)
+    return S, C, rest
 
 
 def _naive_restricted_logs(dist, S, rest, rel_excludes):
@@ -179,21 +275,24 @@ def _two_prod(x, y):
 
 
 def _subset_masses_and_signs(p_elems):
-    """Subset-sum table over bitmasks, kept as compensated (hi, lo) pairs.
+    """Subset-sum tables over bitmasks, one row per set, kept as compensated
+    (hi, lo) pairs.
 
-    masses[m] = sum of p over bits set in mask m.  The alternating
-    inclusion-exclusion sum can cancel down to ~2^k epsilon times the largest
-    term, so the masses (and later the quotients) carry their rounding
-    residuals explicitly.
+    masses[b, m] = sum of p_elems[b] over the bits set in mask m.  The
+    alternating inclusion-exclusion sum can cancel down to ~2^k epsilon times
+    the largest term, so the masses (and later the quotients) carry their
+    rounding residuals explicitly.
     """
-    hi = np.zeros(1)
-    lo = np.zeros(1)
-    signs = np.ones(1)
-    for p in p_elems:
-        s, err = _two_sum(hi, p)
-        hi = np.concatenate([hi, s])
-        lo = np.concatenate([lo, lo + err])
-        signs = np.concatenate([signs, -signs])
+    B, m = p_elems.shape
+    hi = np.zeros((B, 1 << m))
+    lo = np.zeros((B, 1 << m))
+    signs = np.ones(1 << m)
+    for j in range(m):
+        size = 1 << j
+        s, err = _two_sum(hi[:, :size], p_elems[:, j : j + 1])
+        hi[:, size : 2 * size] = s
+        lo[:, size : 2 * size] = lo[:, :size] + err
+        signs[size : 2 * size] = -signs[:size]
     return hi, lo, signs
 
 
@@ -314,67 +413,81 @@ def _integral_restricted_logs(dist, S, rest, rel_excludes, nodes):
     return results
 
 
-def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
-    """Shared-table inclusion-exclusion for every query.
+def _query_columns(m: int, rel: tuple) -> np.ndarray:
+    """The columns of a (hi | lo) term-table row over the subsets of m free
+    elements that the query ``rel`` sums: the subsets avoiding its positions."""
+    masks = np.arange(1 << m)
+    sel = masks[(masks & sum(1 << pos for pos in rel)) == 0]
+    columns = np.concatenate((sel, sel + (1 << m)))
+    columns.setflags(write=False)  # the cache hands the same array to every call
+    return columns
 
-    Builds the signed term table over subsets of ``rest`` once; each query
-    sums, with math.fsum, the terms whose subset avoids the excluded
-    positions.  Queries that cancel below the floor are answered together by
-    one shared-grid quadrature.
+
+# The columns depend only on (m, rel); ``auto``'s sizes reuse them on every
+# call (at most 2^11 entries each, a few hundred keys).
+_cached_query_columns = functools.lru_cache(maxsize=1024)(_query_columns)
+
+
+def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
+    """Shared-table inclusion-exclusion for every query of every row.
+
+    Builds one signed term table over the subsets of each row of ``rest``;
+    each query sums, with one math.fsum per row, the terms whose subset avoids
+    the excluded positions.  A row's queries that cancel below the floor are
+    answered together by one shared-grid quadrature of that row.
     """
-    m = len(rest)
+    B, m = rest.shape
     if m > EXACT_MAX_K:
         raise TooManySubsets(f"|S \\ C| = {m} exceeds {EXACT_MAX_K}")
-    m0 = math.exp(dist.complement_log_mass(S))
-    p_rest = [math.exp(dist.log_probs[s]) for s in rest]
-    mass_hi, mass_lo, signs = _subset_masses_and_signs(p_rest)
-    q, q_lo = _quotient_terms(m0, mass_hi, mass_lo)
-    terms_hi = signs * q
-    terms_lo = signs * q_lo
-    all_masks = np.arange(1 << m)
+    m0 = _complement_masses(dist, S)
+    mass_hi, mass_lo, signs = _subset_masses_and_signs(_math_exp(dist.log_probs[rest]))
+    q, q_lo = _quotient_terms(m0[:, None], mass_hi, mass_lo)
+    # Each row holds its signed terms' high parts, then their low parts.
+    terms = np.concatenate((signs * q, signs * q_lo), axis=1)
+    columns = _cached_query_columns if m <= _AUTO_EXACT_MAX_K else _query_columns
 
-    results = []
-    cancelled = []
+    logs = np.zeros((B, len(rel_excludes)))
+    cancelled: dict = {}
     for i, rel in enumerate(rel_excludes):
         if len(rel) == m:
-            results.append(0.0)
             continue
-        c_mask = sum(1 << pos for pos in rel)
-        sel = (all_masks & c_mask) == 0
-        total = math.fsum(terms_hi[sel].tolist() + terms_lo[sel].tolist())
-        if total < CANCELLATION_FLOOR:
-            cancelled.append(i)
-            results.append(None)
-        else:
-            results.append(min(math.log(total), 0.0))
-    if cancelled:
-        requery = [rel_excludes[i] for i in cancelled]
-        for i, lg in zip(cancelled, _integral_restricted_logs(dist, S, rest, requery, nodes)):
-            results[i] = lg
-    return results
+        for b, row in enumerate(terms[:, columns(m, rel)].tolist()):
+            total = math.fsum(row)
+            if total < CANCELLATION_FLOOR:
+                cancelled.setdefault(b, []).append(i)
+            else:
+                logs[b, i] = min(math.log(total), 0.0)
+    for b, queries in cancelled.items():
+        requery = [rel_excludes[i] for i in queries]
+        logs[b, queries] = _integral_restricted_logs(dist, S[b], rest[b], requery, nodes)
+    return logs
 
 
 def _restricted_logs(dist, S, rest, rel_excludes, backend, nodes):
-    """log p^{D \\ (C u rel)}(rest \\ rel) for each query ``rel`` (a tuple of
-    positions into ``rest`` = S \\ C), from one backend's kernel.  ``auto`` is
-    ``exact`` for up to _AUTO_EXACT_MAX_K free elements and ``integral``
-    beyond; ``_split_sets`` has checked the name."""
+    """log p^{D \\ (C u rel)}(rest \\ rel) for each row and each query ``rel``
+    (a tuple of positions into the row of ``rest`` = S \\ C), as a
+    (rows, queries) array from one backend's kernel.  ``auto`` is ``exact``
+    for up to _AUTO_EXACT_MAX_K free elements and ``integral`` beyond;
+    ``_split_sets`` has checked the name.  The exact kernel takes every row
+    at once; the others run row by row."""
     if backend == "auto":
-        backend = "exact" if len(rest) <= _AUTO_EXACT_MAX_K else "integral"
-    if backend == "naive":
-        return _naive_restricted_logs(dist, S, rest, rel_excludes)
+        backend = "exact" if rest.shape[1] <= _AUTO_EXACT_MAX_K else "integral"
     if backend == "exact":
         return _exact_restricted_logs(dist, S, rest, rel_excludes, nodes)
-    return _integral_restricted_logs(dist, S, rest, rel_excludes, nodes)
+    if backend == "naive":
+        return np.array([_naive_restricted_logs(dist, s, r, rel_excludes) for s, r in zip(S, rest)])
+    return np.array(
+        [_integral_restricted_logs(dist, s, r, rel_excludes, nodes) for s, r in zip(S, rest)]
+    )
 
 
 def _p_set(dist: CategoricalDist, S, C, backend: str, nodes: int = DEFAULT_NODES) -> float:
     """log p^{D \\ C}(S \\ C): the one query of ``backend`` that excludes
     nothing more.  An empty S \\ C or a whole-domain S has probability 1."""
-    S, C, rest = _split_sets(dist, S, C, backend, nodes)
-    if not rest or len(S) == dist.n:
+    S, C, rest = _split_sets(dist, _sample_indices(S)[None], C, backend, nodes)
+    if not rest.shape[1] or S.shape[1] == dist.n:
         return 0.0
-    return _restricted_logs(dist, S, rest, [()], backend, nodes)[0]
+    return float(_restricted_logs(dist, S, rest, [()], backend, nodes)[0, 0])
 
 
 def p_set_naive(dist: CategoricalDist, S, C=()) -> float:
@@ -419,44 +532,51 @@ def loo_ratios(
     m <= _AUTO_EXACT_MAX_K and ``integral`` beyond.  Under ``exact`` the
     queries whose alternating sum cancels below CANCELLATION_FLOOR share one
     quadrature grid.
+
+    S may also be a (B, k) array of B sets of one size, one per row; then
+    ``exclude`` is empty, one set excluded from every row, or a (B, c) array,
+    and every field of the result gains a leading axis of length B.  One set
+    is the B = 1 row of that computation.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    S, exclude, rest = _split_sets(dist, S, exclude, backend, nodes)
-    m = len(rest)
+    rows, single = _as_rows(S)
+    S, exclude, rest = _split_sets(dist, rows, exclude, backend, nodes)
+    B, m = rest.shape
     if m < 1:
         raise ValueError("need at least one element outside the excluded set")
 
-    if len(S) == dist.n:
+    if S.shape[1] == dist.n:
         # Whole domain: every restricted set probability is exactly 1.
+        log_p = np.zeros(B)
+        ratios = np.ones((B, m))
+        second = np.ones((B, m, m)) if order == 2 else None
+    else:
+        singles = [(i,) for i in range(m)]
+        pairs = list(itertools.combinations(range(m), 2)) if order == 2 else []
+        logs = _restricted_logs(dist, S, rest, singles + pairs, backend, nodes)
+
+        log_num = logs[:, :m]
+        # p^{D\C}(S\C) = sum_s p^{D\C}(s) p^{D\(C u {s})}(S \ C \ {s})
+        lp_rest = dist.log_probs[rest]
+        if exclude.size:
+            lp_rest = lp_rest - _complement_log_masses(dist, exclude)[:, None]
+        terms = lp_rest + log_num
+        log_p = np.minimum(_log_sum_exp_rows(terms), 0.0)
+        ratios = np.exp(log_num - log_p[:, None])
+
+        second = None
+        if order == 2:
+            second = np.ones((B, m, m))
+            i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+            second[:, i, j] = _math_exp(logs[:, m:] - log_num[:, i])
+            second[:, j, i] = _math_exp(logs[:, m:] - log_num[:, j])
+
+    if single:
         return LooRatios(
-            elements=np.array(rest, dtype=int),
-            ratios=np.ones(m),
-            log_p_set=0.0,
-            second_order=np.ones((m, m)) if order == 2 else None,
+            elements=rest[0],
+            ratios=ratios[0],
+            log_p_set=float(log_p[0]),
+            second_order=None if second is None else second[0],
         )
-
-    singles = [(i,) for i in range(m)]
-    pairs = list(itertools.combinations(range(m), 2)) if order == 2 else []
-    logs = _restricted_logs(dist, S, rest, singles + pairs, backend, nodes)
-
-    log_num = np.array(logs[:m])
-    # p^{D\C}(S\C) = sum_s p^{D\C}(s) p^{D\(C u {s})}(S \ C \ {s})
-    lp_rest = np.array([dist.log_probs[s] for s in rest])
-    log_excl_mass = dist.complement_log_mass(exclude) if exclude else 0.0
-    log_p = min(log_sum_exp(lp_rest - log_excl_mass + log_num), 0.0)
-    ratios = np.exp(log_num - log_p)
-
-    second = None
-    if order == 2:
-        second = np.ones((m, m))
-        for (i, j), lg in zip(pairs, logs[m:]):
-            second[i, j] = math.exp(lg - log_num[i])
-            second[j, i] = math.exp(lg - log_num[j])
-
-    return LooRatios(
-        elements=np.array(rest, dtype=int),
-        ratios=ratios,
-        log_p_set=float(log_p),
-        second_order=second,
-    )
+    return LooRatios(elements=rest, ratios=ratios, log_p_set=log_p, second_order=second)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sworgrad import bench, cli, oracle
 
@@ -73,6 +74,16 @@ class TestCheck:
         assert _run(["check", "--n", "3", "--k", "0", "--cases", "1"]) == 1
         assert _run(["check", "--n", "3", "--k", "4", "--cases", "1"]) == 1
         assert "outside [1, 3]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_whole_domain_conditional_is_exact(self, tmp_path, n):
+        """At k = n the set is drawn with probability exactly 1, so the
+        importance-weighted estimate given it equals the set estimate."""
+        out = tmp_path / "report.json"
+        argv = ["check", "--n", str(n), "--k", str(n), "--cases", "10", "--seed", "0"]
+        assert _run(argv + ["--out", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["importance-weighted-conditional"]["max_abs_err"] == 0.0
 
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

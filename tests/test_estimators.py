@@ -16,6 +16,7 @@ from sworgrad.errors import (
     InvalidSplit,
     NeedTwoSamples,
     NoPathwiseGradient,
+    SpaceTooLarge,
 )
 
 RUNNING_EXPECTATION = 1.7  # 0.5*1 + 0.3*2 + 0.2*3
@@ -467,3 +468,50 @@ class TestEstimatorIds:
         ]
         for grad_est, eid in pairs:
             assert grad_est.estimator_id == eid
+
+
+def _batch_space(spec, dist, k, gen):
+    """Up to 12 random samples of the spec's law at size k as a (B, points)
+    batch, with one row of importance weights each for the threshold law."""
+    if spec.law == est.THRESHOLD:
+        points, _ = oracle._set_space(dist, k)
+    else:
+        points, _ = oracle._SPACES[spec.law](dist, k)
+    points = points[np.sort(gen.choice(len(points), size=min(len(points), 12), replace=False))]
+    if spec.law != est.THRESHOLD:
+        return points, None
+    kappa = None if k == dist.n else float(gen.normal(-1.0, 1.0))
+    return points, np.array([est.importance_weights(dist, S, kappa)[1] for S in points])
+
+
+_BATCH_IDS = [*est.ESTIMATORS, est.stoch_sas_id(1), est.stoch_sas_id(2)]
+
+
+class TestBatchRows:
+    """Every row of a batched ``_estimate`` equals, bit for bit, the same
+    sample's estimate as a batch of one, which is what every one-sample
+    function computes.  Random n in 3..6, every valid k up to n, with a
+    pathwise objective, with and without a projection."""
+
+    @pytest.mark.parametrize("eid", _BATCH_IDS)
+    def test_rows_equal_one_sample(self, eid):
+        spec = est.estimator_spec(eid)
+        m = est.parse_stoch_sas(eid) or 0
+        needs_two = eid in (est.UNORDERED_SET_PG_BL, est.REINFORCE_WR_BL, est.DET_SUM_AND_SAMPLE)
+        gen = np.random.default_rng(60 + _BATCH_IDS.index(eid))
+        for n in (3, 4, 5, 6):
+            dist = random_dist(gen, n)
+            obj = Objective(gen.normal(0.0, 1.0, n), gen.normal(0.0, 1.0, (n, n)))
+            project = gen.normal(0.0, 1.0, n)
+            for k in range(max(m + 1, 2 if needs_two else 1), n + 1):
+                try:
+                    points, r = _batch_space(spec, dist, k, gen)
+                except SpaceTooLarge:
+                    continue
+                batch = est._estimate(spec, dist, points, obj, r)
+                projected = oracle._project(batch, project)
+                for b, row in enumerate(points):
+                    one = est._estimate_one(spec, dist, row, obj, None if r is None else r[b])
+                    np.testing.assert_array_equal(batch[b], one)
+                    if spec.output != est.VALUE:
+                        assert projected[b] == float(np.dot(one, project))

@@ -200,13 +200,31 @@ class TestEstimatorMoments:
             assert np.all(np.isfinite(mean)) and math.isfinite(var)
 
 
+def _romberg_row(vals):
+    """Richardson-extrapolated trapezoid over [0, 1] from values on a whole
+    uniform grid whose interval count is a multiple of 8; each trapezoid sum
+    is exact (math.fsum), so only the extrapolation rounds."""
+    def trap(v, h):
+        cols = v.reshape(len(v), -1).T.tolist()
+        sums = np.array([math.fsum(c) for c in cols]).reshape(v.shape[1:])
+        return h * (sums - 0.5 * (v[0] + v[-1]))
+
+    h = 1.0 / (len(vals) - 1)
+    row = [trap(vals[::s], s * h) for s in (1, 2, 4, 8)]
+    for level in range(1, 4):
+        factor = 4.0**level
+        row = [(factor * fine - coarse) / (factor - 1.0) for fine, coarse in zip(row, row[1:])]
+    return row[0]
+
+
 def _full_grid_ladder(func, tol, start_nodes=129, max_nodes=65537):
-    """Reference ladder that evaluates every node of every rung."""
+    """Reference ladder that evaluates every node of every rung and sums each
+    rung's whole grid afresh."""
     nodes = start_nodes
     prev = None
     while True:
         u = np.clip(np.linspace(0.0, 1.0, nodes), oracle._U_CLIP, 1.0 - oracle._U_CLIP)
-        total = oracle._romberg_row(func(u))
+        total = _romberg_row(func(u))
         if prev is not None:
             err = np.max(np.abs(total - prev))
             if err <= tol * max(float(np.max(np.abs(total))), 1e-30):
@@ -244,25 +262,31 @@ def _first_integrand(monkeypatch, call):
     return seen[0]
 
 
+def _polynomial(v):
+    return np.stack([v**60, 3.0 * v**45 - v], axis=1)
+
+
 class TestThresholdQuadrature:
+    """The ladder keeps running trapezoid sums, so it adds up the nodes in
+    another order than the reference, which sums each rung's whole grid
+    exactly: results agree to rounding (1e-15 of the largest component), not
+    bit for bit."""
+
     def _check_ladder(self, func, tol):
-        """Each node once; returns (ladder result, reference result)."""
+        """Each node once, and the reference's value; returns the ladder's."""
         counted = _Counted(func)
         got = oracle._adaptive_trapezoid(counted, tol)
-        rows = sum(len(v) for v in counted.calls)
-        final = 128 * 2 ** (len(counted.calls) - 1) + 1
-        assert len(counted.calls) >= 3
-        assert rows == final
+        final = sum(len(v) for v in counted.calls)
+        rungs = math.log2((final - 1) // 128) + 1
+        assert rungs == int(rungs) and rungs >= 3
         grid = np.clip(np.linspace(0.0, 1.0, final), oracle._U_CLIP, 1.0 - oracle._U_CLIP)
         np.testing.assert_array_equal(np.sort(np.concatenate(counted.calls)), grid)
-        return got, _full_grid_ladder(func, tol)
+        ref = _full_grid_ladder(func, tol)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        return got
 
     def test_polynomial_nodes_evaluated_once(self):
-        def poly(v):
-            return np.stack([v**60, 3.0 * v**45 - v], axis=1)
-
-        got, ref = self._check_ladder(poly, 1e-13)
-        np.testing.assert_array_equal(got, ref)
+        got = self._check_ladder(_polynomial, 1e-13)
         np.testing.assert_allclose(got, [1.0 / 61.0, 3.0 / 46.0 - 0.5], rtol=1e-12)
 
     def test_iw_integrand_nodes_evaluated_once(self, monkeypatch):
@@ -270,18 +294,23 @@ class TestThresholdQuadrature:
         func, tol = _first_integrand(
             monkeypatch, lambda: oracle.conditional_iw_mean(dist, (0, 2, 4), f)
         )
-        got, ref = self._check_ladder(func, tol)
-        np.testing.assert_array_equal(got, ref)
+        self._check_ladder(func, tol)
 
     def test_iw_gradient_integrand_nodes_evaluated_once(self, monkeypatch):
-        """Gradient rows go through a matrix product whose blocking depends
-        on the row count, so they agree to rounding rather than bit for bit."""
         dist, f = oracle._random_instance(np.random.default_rng(4), 5)
         func, tol = _first_integrand(
             monkeypatch, lambda: oracle.estimator_moments(est.IW_PG, dist, f, 3)
         )
-        got, ref = self._check_ladder(func, tol)
-        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        self._check_ladder(func, tol)
+
+    def test_integrand_calls_are_bounded(self):
+        """Past 4097 nodes the midpoints come in chunks: no call exceeds 4096
+        nodes, and the ladder still reaches its 65537-node cap."""
+        counted = _Counted(_polynomial)
+        oracle._adaptive_trapezoid(counted, 0.0)
+        assert max(len(v) for v in counted.calls) == 4096
+        grid = np.clip(np.linspace(0.0, 1.0, 65537), oracle._U_CLIP, 1.0 - oracle._U_CLIP)
+        np.testing.assert_array_equal(np.sort(np.concatenate(counted.calls)), grid)
 
     @pytest.mark.parametrize("n, k", [(4, 2), (5, 3)])
     def test_shared_pass_gives_conditional_iw_mean(self, n, k):
@@ -291,11 +320,11 @@ class TestThresholdQuadrature:
         gen = np.random.default_rng(n)
         for _ in range(3):
             dist, f = oracle._random_instance(gen, n)
-            means, _ = oracle._threshold_pass(spec, dist, as_objective(f), k, None, 1e-9)
-            sets = oracle.enumerate_unordered(dist, k).entries
+            sets, probs = oracle._set_space(dist, k)
+            means, _ = oracle._threshold_pass(spec, dist, as_objective(f), sets, None, 1e-9)
             assert len(means) == len(sets)
-            for mean, (s, p) in zip(means, sets):
-                want = oracle.conditional_iw_mean(dist, s.indices, f)
+            for mean, S, p in zip(means, sets, probs):
+                want = oracle.conditional_iw_mean(dist, S, f)
                 assert abs(mean / p - want) <= 1e-12
 
 

@@ -318,3 +318,51 @@ class TestLargeSets:
         and p_set_exact returns the default quadrature's value unchanged."""
         dist, S = _sampled_set("n1000", 8)
         assert p_set_exact(dist, S) == p_set_integral(dist, S)
+
+
+class TestBatchedKernel:
+    """``loo_ratios`` on a (B, k) batch of sets: each row equals, bit for
+    bit, the one-set call on that row."""
+
+    @staticmethod
+    def _assert_rows_match(dist, rows, order, exclude=()):
+        batch = loo_ratios(dist, rows, order=order, exclude=exclude)
+        for b, S in enumerate(rows):
+            one = loo_ratios(dist, S, order=order, exclude=exclude[b] if len(exclude) else ())
+            np.testing.assert_array_equal(batch.elements[b], one.elements)
+            np.testing.assert_array_equal(batch.ratios[b], one.ratios)
+            assert batch.log_p_set[b] == one.log_p_set
+            if order == 2:
+                np.testing.assert_array_equal(batch.second_order[b], one.second_order)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("excluded", [0, 1, 2])
+    def test_rows_equal_one_set(self, order, excluded):
+        gen = np.random.default_rng(70 + 3 * order + excluded)
+        for _ in range(8):
+            n = int(gen.integers(3, 9))
+            k = int(gen.integers(excluded + 1, min(6, n) + 1))
+            d = random_dist(gen, n, scale=1.5)
+            rows = np.array([gen.permutation(n)[:k] for _ in range(int(gen.integers(1, 7)))])
+            exclude = rows[:, :excluded] if excluded else ()
+            self._assert_rows_match(d, rows, order, exclude)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("excluded", [False, True])
+    def test_cancelled_row_between_ordinary_rows(self, order, excluded):
+        """On the n = 1000 domain the beam set's inclusion-exclusion sums
+        cancel below the floor and go to quadrature (see TestLargeSets); the
+        eight most probable elements, and the next eight, do not."""
+        dist, beam = _sampled_set("n1000", 8)
+        by_prob = np.argsort(-dist.probs)
+        rows = np.array([by_prob[:8], beam, by_prob[8:16]])
+        exclude = rows[:, :1] if excluded else ()
+        self._assert_rows_match(dist, rows, order, exclude)
+
+    def test_batch_arguments_checked(self, running_dist):
+        with pytest.raises(ValueError, match="distinct"):
+            loo_ratios(running_dist, np.array([[0, 1], [2, 2]]))
+        with pytest.raises(ValueError, match="out of range"):
+            loo_ratios(running_dist, np.array([[0, 1], [1, 3]]))
+        with pytest.raises(ValueError, match="contained"):
+            loo_ratios(running_dist, np.array([[0, 1], [1, 2]]), exclude=np.array([[0], [0]]))
