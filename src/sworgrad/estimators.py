@@ -157,21 +157,19 @@ def sum_and_sample_weights(dist: CategoricalDist, B, m: int = 1):
     draw order of B: ``(indices of B, weights)``.  B may be a (batch, k)
     array of ordered samples; both results then have one row per sample.
 
-    The first k-m drawn elements contribute their exact probabilities; the
-    remaining mass is spread over the last m elements using the restricted
-    first-draw posterior, so the weights total exactly 1.
+    The first k-m drawn elements contribute their exact probabilities; each
+    of the last m elements s gets p(s) R^{D \\ H}(S, s), with H the first k-m:
+    the mass outside H spread by the restricted first-draw posterior, so the
+    weights total 1 up to rounding.
     """
     idx, single = _as_rows(B)
     k = idx.shape[1]
     if not 1 <= m < k:
         raise InvalidSplit(f"need 1 <= m < k, got m={m}, k={k}")
-    head = idx[:, : k - m]
-    rest_mass = _complement_masses(dist, head)
-    _, tail_post = posterior_weights(dist, np.sort(idx, axis=1), exclude=head)
-    w = np.empty(idx.shape)
-    w[:, : k - m] = np.exp(dist.log_probs[head])
+    lr = loo_ratios(dist, np.sort(idx, axis=1), exclude=idx[:, : k - m])
+    w = np.exp(dist.log_probs[idx])
     tail = k - m + idx[:, k - m:].argsort(axis=1, kind="stable")
-    w[np.arange(len(idx))[:, None], tail] = rest_mass[:, None] * tail_post
+    w[np.arange(len(idx))[:, None], tail] *= lr.ratios
     return (idx[0], w[0]) if single else (idx, w)
 
 

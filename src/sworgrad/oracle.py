@@ -8,10 +8,10 @@ integrated against the conditional threshold density by adaptive quadrature.
 
 Each sample space is enumerated once and passed over once per estimator:
 ``_SPACES`` lists every sample of a law as one row of a (B, k) index array
-with its probability, ``_sample_outputs`` evaluates the estimator on the
-whole space as one batch (one call of the estimator table and of the exact
-kernel), and ``_threshold_pass`` integrates the threshold estimators once
-per set.  The theorem report builds the set and ordered spaces once per
+with its probability, ``estimators._estimate`` evaluates the estimator on
+the whole space as one batch (one call of the estimator table and of the
+exact kernel), and ``_threshold_pass`` integrates the threshold estimators
+once per set.  The theorem report builds the set and ordered spaces once per
 instance and reads both the moments and the per-set conditional checks from
 those passes.
 """
@@ -367,14 +367,6 @@ _SPACES = {
 }
 
 
-def _sample_outputs(spec, dist, obj, points, project):
-    """The estimator's output on every sample of a space, as one batch: the
-    rows of ``points`` in, one value or gradient row per sample out
-    (projected when ``project`` is given).  Not for the threshold law, which
-    ``_threshold_pass`` integrates."""
-    return _project(est._estimate(spec, dist, points, obj), project)
-
-
 def estimator_moments(
     kind: str,
     dist: CategoricalDist,
@@ -403,7 +395,8 @@ def estimator_moments(
         sets = np.array(list(itertools.combinations(range(dist.n), k)))
         return _threshold_moments(*_threshold_pass(spec, dist, obj, sets, project, quad_tol))
     points, probs = _SPACES[spec.law](dist, k)
-    return _moments_from_entries(_sample_outputs(spec, dist, obj, points, project), probs)
+    outputs = _project(est._estimate(spec, dist, points, obj), project)
+    return _moments_from_entries(outputs, probs)
 
 
 def _threshold_pass(spec, dist, obj, sets, project, tol):
@@ -486,10 +479,7 @@ def theorem_report(
         set_points, set_probs = _set_space(dist, k)
         ordered_points, ordered_probs = _ordered_space(dist, k)
 
-        def outputs(eid, objective, points):
-            return _sample_outputs(est.estimator_spec(eid), dist, objective, points, None)
-
-        us_vals = outputs(est.UNORDERED_SET, obj, set_points)
+        us_vals = est._estimate(est.estimator_spec(est.UNORDERED_SET), dist, set_points, obj)
         keys = [tuple(S) for S in set_points.tolist()]
         mean_us, var_us = _moments_from_entries(us_vals, set_probs)
         track("unordered-set-unbiased", 1e-9, abs(mean_us - exact_e))
@@ -504,7 +494,8 @@ def theorem_report(
             ("uspg-baseline-unbiased", est.UNORDERED_SET_PG_BL, obj, exact_g),
             ("full-uspg-unbiased", est.FULL_UNORDERED_SET_PG, obj_full, exact_g_full),
         ):
-            mean, _ = _moments_from_entries(outputs(eid, objective, set_points), set_probs)
+            values = est._estimate(est.estimator_spec(eid), dist, set_points, objective)
+            mean, _ = _moments_from_entries(values, set_probs)
             track(name, 1e-9, np.max(np.abs(mean - exact)))
 
         set_f = obj.values_at(set_points).reshape(set_points.shape)
@@ -514,7 +505,8 @@ def theorem_report(
 
         ordered_keys = [tuple(sorted(B)) for B in ordered_points.tolist()]
         for m in [1] + ([2] if k >= 3 else []):
-            sas_vals = outputs(est.stoch_sas_id(m), obj, ordered_points)
+            sas_spec = est.estimator_spec(est.stoch_sas_id(m))
+            sas_vals = est._estimate(sas_spec, dist, ordered_points, obj)
             mean, var_sas = _moments_from_entries(sas_vals, ordered_probs)
             track("stoch-sum-and-sample-unbiased", 1e-9, abs(mean - exact_e))
             cond: dict = {}
@@ -544,8 +536,8 @@ def theorem_report(
         for iw_mean, p, us_val in zip(iw_means, set_probs, us_vals):
             track("importance-weighted-conditional", 1e-6, abs(iw_mean / p - us_val))
 
-        gd = outputs(est.RISK, obj, set_points)
-        gb = outputs(est.RISK_BL_FORM, obj, set_points)
+        gd = est._estimate(est.estimator_spec(est.RISK), dist, set_points, obj)
+        gb = est._estimate(est.estimator_spec(est.RISK_BL_FORM), dist, set_points, obj)
         track("risk-form-equivalence", 1e-10, np.max(np.abs(gd - gb)))
 
         mean, _ = estimator_moments(est.REINFORCE_WR, dist, f, k)

@@ -45,7 +45,6 @@ nothing more, log p^{D \\ C}(S \\ C).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -116,27 +115,22 @@ def _not_contained() -> ValueError:
 
 def _index_set(S, n: int) -> np.ndarray:
     """The indices of S in increasing order; ValueError unless they are
-    distinct and inside range(n).  The check of one sampled set; it works on
-    Python ints because numpy's per-call cost dominates for a few elements."""
-    idx = sorted(_sample_indices(S).tolist())
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"set elements must be distinct, got {idx}")
-    if idx and (idx[0] < 0 or idx[-1] >= n):
-        raise _out_of_range(n)
-    return np.array(idx, dtype=int)
+    distinct and inside range(n).  The check of one sampled set."""
+    return _index_rows(_sample_indices(S)[None], n)[0]
 
 
 def _index_rows(S: np.ndarray, n: int) -> np.ndarray:
-    """``_index_set`` of each row of the 2-D array S, as one array.  One row
-    is ``_index_set`` itself; more rows are its row-wise form."""
-    if len(S) == 1:
-        return _index_set(S[0], n)[None]
-    idx = np.sort(S, axis=1)
-    if (idx[:, 1:] == idx[:, :-1]).any():
-        raise ValueError("set elements must be distinct in every row")
-    if idx.size and (idx[:, 0].min() < 0 or idx[:, -1].max() >= n):
-        raise _out_of_range(n)
-    return idx
+    """The rows of the 2-D array S each in increasing order, as one array;
+    ValueError unless every row is distinct and inside range(n).  The rows
+    are checked on Python ints: numpy's per-call cost dominates for a few
+    elements."""
+    rows = [sorted(row) for row in S.tolist()]
+    for idx in rows:
+        if len(set(idx)) != len(idx):
+            raise ValueError(f"set elements must be distinct, got {idx}")
+        if idx and (idx[0] < 0 or idx[-1] >= n):
+            raise _out_of_range(n)
+    return np.array(rows, dtype=int).reshape(S.shape)
 
 
 def _draw_indices(X, n: int) -> np.ndarray:
@@ -157,10 +151,7 @@ def _math_exp(x: np.ndarray) -> np.ndarray:
 
 def _log_sum_exp_rows(values: np.ndarray) -> np.ndarray:
     """``log_sum_exp`` of each row of a 2-D array whose rows each hold a
-    finite value.  One row is ``log_sum_exp`` itself; more rows are its
-    row-wise form, with the same float arithmetic."""
-    if len(values) == 1:
-        return np.array([log_sum_exp(values[0])])
+    finite value, with the same float arithmetic."""
     hi = values.max(axis=1)
     sums = np.exp(values - hi[:, None]).sum(axis=1)
     return np.array([h + math.log(s) for h, s in zip(hi.tolist(), sums.tolist())])
@@ -168,8 +159,9 @@ def _log_sum_exp_rows(values: np.ndarray) -> np.ndarray:
 
 def _complement_log_masses(dist: CategoricalDist, C: np.ndarray) -> np.ndarray:
     """``dist.complement_log_mass`` of each row of C (distinct indices per
-    row).  One row is that method itself; more rows are its row-wise form,
-    with the same float arithmetic."""
+    row), with the same float arithmetic.  One row calls that method: it
+    takes fewer numpy calls than the row-wise form, and a one-set
+    ``loo_ratios`` makes up to three of these calls."""
     B, c = C.shape
     if B == 1:
         return np.array([dist.complement_log_mass(C[0])])
@@ -177,14 +169,12 @@ def _complement_log_masses(dist: CategoricalDist, C: np.ndarray) -> np.ndarray:
         return np.full(B, -math.inf)
     keep = np.ones((B, dist.n), dtype=bool)
     keep[np.arange(B)[:, None], C] = False
-    return _log_sum_exp_rows(dist.log_probs[np.nonzero(keep)[1]].reshape(B, -1))
+    return _log_sum_exp_rows(np.broadcast_to(dist.log_probs, keep.shape)[keep].reshape(B, -1))
 
 
 def _complement_masses(dist: CategoricalDist, C: np.ndarray) -> np.ndarray:
     """The probability mass outside each row of C, as libm's exp of
     ``_complement_log_masses``."""
-    if len(C) == 1:
-        return np.array([math.exp(dist.complement_log_mass(C[0]))])
     return _math_exp(_complement_log_masses(dist, C))
 
 
@@ -192,9 +182,11 @@ def _exclusion_rows(C, B: int) -> np.ndarray:
     """An exclusion as a (B, c) array: C is empty, one set excluded from
     every row, or already one set per row."""
     C = np.asarray(getattr(C, "indices", C), dtype=int)
-    if C.ndim == 2:
-        return C
-    return C.reshape(1, -1) if B == 1 else C.reshape(1, -1).repeat(B, axis=0)
+    if C.ndim < 2:
+        C = C.reshape(1, -1)
+    if len(C) not in (1, B):
+        raise ValueError(f"exclude has {len(C)} rows for {B} sets")
+    return C if len(C) == B else C.repeat(B, axis=0)
 
 
 _BACKENDS = ("auto", "naive", "exact", "integral")
@@ -211,17 +203,12 @@ def _split_sets(dist: CategoricalDist, S, C, backend: str, nodes: int):
     rest = S
     if C.size:
         C = _index_rows(C, dist.n)
-        # One row is checked on Python ints, as in _index_set.
-        if len(S) == 1:
-            excluded = set(C[0].tolist())
-            if not excluded <= set(S[0].tolist()):
+        rest = []
+        for row, excluded in zip(S.tolist(), map(set, C.tolist())):
+            if not excluded <= set(row):
                 raise _not_contained()
-            rest = np.array([[s for s in S[0].tolist() if s not in excluded]], dtype=int)
-        else:
-            inside = S[:, :, None] == C[:, None, :]
-            if not inside.any(axis=1).all():
-                raise _not_contained()
-            rest = S[~inside.any(axis=2)].reshape(len(S), -1)
+            rest.append([s for s in row if s not in excluded])
+        rest = np.array(rest, dtype=int).reshape(len(S), -1)
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
     return S, C, rest
@@ -413,21 +400,6 @@ def _integral_restricted_logs(dist, S, rest, rel_excludes, nodes):
     return results
 
 
-def _query_columns(m: int, rel: tuple) -> np.ndarray:
-    """The columns of a (hi | lo) term-table row over the subsets of m free
-    elements that the query ``rel`` sums: the subsets avoiding its positions."""
-    masks = np.arange(1 << m)
-    sel = masks[(masks & sum(1 << pos for pos in rel)) == 0]
-    columns = np.concatenate((sel, sel + (1 << m)))
-    columns.setflags(write=False)  # the cache hands the same array to every call
-    return columns
-
-
-# The columns depend only on (m, rel); ``auto``'s sizes reuse them on every
-# call (at most 2^11 entries each, a few hundred keys).
-_cached_query_columns = functools.lru_cache(maxsize=1024)(_query_columns)
-
-
 def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
     """Shared-table inclusion-exclusion for every query of every row.
 
@@ -442,16 +414,21 @@ def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
     m0 = _complement_masses(dist, S)
     mass_hi, mass_lo, signs = _subset_masses_and_signs(_math_exp(dist.log_probs[rest]))
     q, q_lo = _quotient_terms(m0[:, None], mass_hi, mass_lo)
-    # Each row holds its signed terms' high parts, then their low parts.
-    terms = np.concatenate((signs * q, signs * q_lo), axis=1)
-    columns = _cached_query_columns if m <= _AUTO_EXACT_MAX_K else _query_columns
+    # The signed terms of each row, high and low parts, with one axis of
+    # length 2 per free element: the bit of position pos in a subset's mask
+    # is axis m + 1 - pos.  A query's subsets are a view, its excluded axes
+    # taken at 0.
+    terms = np.stack((signs * q, signs * q_lo), axis=1).reshape((B, 2) + (2,) * m)
 
     logs = np.zeros((B, len(rel_excludes)))
     cancelled: dict = {}
     for i, rel in enumerate(rel_excludes):
         if len(rel) == m:
             continue
-        for b, row in enumerate(terms[:, columns(m, rel)].tolist()):
+        index = [slice(None)] * (m + 2)
+        for pos in rel:
+            index[m + 1 - pos] = 0
+        for b, row in enumerate(terms[tuple(index)].reshape(B, -1).tolist()):
             total = math.fsum(row)
             if total < CANCELLATION_FLOOR:
                 cancelled.setdefault(b, []).append(i)

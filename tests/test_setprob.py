@@ -366,3 +366,15 @@ class TestBatchedKernel:
             loo_ratios(running_dist, np.array([[0, 1], [1, 3]]))
         with pytest.raises(ValueError, match="contained"):
             loo_ratios(running_dist, np.array([[0, 1], [1, 2]]), exclude=np.array([[0], [0]]))
+
+    def test_exclusion_rows_match_sets(self, running_dist):
+        """A 2-D ``exclude`` has one row per set, or one row for all of them."""
+        with pytest.raises(ValueError, match="2 rows for 1 sets"):
+            loo_ratios(running_dist, [0, 1], exclude=np.array([[0], [1]]))
+        with pytest.raises(ValueError, match="3 rows for 2 sets"):
+            loo_ratios(running_dist, np.array([[0, 1], [0, 2]]), exclude=np.array([[0], [0], [0]]))
+        rows = np.array([[0, 1], [0, 2]])
+        shared = loo_ratios(running_dist, rows, exclude=np.array([[0]]))
+        flat = loo_ratios(running_dist, rows, exclude=[0])
+        np.testing.assert_array_equal(shared.ratios, flat.ratios)
+        np.testing.assert_array_equal(shared.log_p_set, flat.log_p_set)
