@@ -418,7 +418,7 @@ def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
     # length 2 per free element: the bit of position pos in a subset's mask
     # is axis m + 1 - pos.  A query's subsets are a view, its excluded axes
     # taken at 0.
-    terms = np.stack((signs * q, signs * q_lo), axis=1).reshape((B, 2) + (2,) * m)
+    terms = np.concatenate((signs * q, signs * q_lo), axis=1).reshape((B, 2) + (2,) * m)
 
     logs = np.zeros((B, len(rel_excludes)))
     cancelled: dict = {}
