@@ -7,6 +7,12 @@ outcomes form a flat categorical (row-major bit order, first bit most
 significant), and every flat-categorical gradient estimator is chain-ruled to
 the scalar parameter eta through
 d log p(x) / d eta = sum_i (x_i - sigmoid(eta)).
+
+A variance-sweep cell draws every replicate from its own stream
+``Rng(seed, (r,))`` and evaluates the estimator on chunks of at most
+``_CHUNK_REPLICATES`` draws, one coefs call per chunk.  Each row of a coefs
+call is computed as it would be alone, so the outputs do not depend on the
+chunk size; ``toy_scalar_grad`` is the same computation on one draw.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ import numpy as np
 
 from . import estimators as est
 from . import oracle
-from .distributions import CategoricalDist, FactorizedDist, Objective
+from .distributions import CategoricalDist, Objective, from_logits, log_sum_exp
 from .sampling import Rng
 
 TARGETS = (0.6, 0.51, 0.48)
@@ -32,6 +38,10 @@ DIVERGENCE_BOUND = 50.0
 VARIANCE_CSV_VERSION = "# sworgrad-variance-v1"
 OPTIMIZE_CSV_VERSION = "# sworgrad-optimize-v1"
 
+# Replicates per coefs call in a sweep cell.  It bounds a cell's working
+# memory whatever its replication count; it changes no output.
+_CHUNK_REPLICATES = 256
+
 
 def sigmoid(eta: float) -> float:
     if eta >= 0:
@@ -42,6 +52,15 @@ def sigmoid(eta: float) -> float:
 
 def outcome_bits(idx: int) -> tuple:
     return tuple((idx >> (NUM_BITS - 1 - i)) & 1 for i in range(NUM_BITS))
+
+
+# The eta-free tables of the toy: each outcome's bits, and its loss.
+_BITS = np.array([outcome_bits(idx) for idx in range(DOMAIN)], dtype=float)
+_F_VALUES = np.array(
+    [sum((b - t) ** 2 for b, t in zip(outcome_bits(idx), TARGETS)) for idx in range(DOMAIN)]
+)
+_BITS.setflags(write=False)
+_F_VALUES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -63,26 +82,26 @@ class BernoulliToy:
 
 @lru_cache(maxsize=128)
 def make_toy(eta: float) -> BernoulliToy:
-    # Per-bit log-probabilities, exact in the tails.
+    # Per-bit log-probabilities, exact in the tails.  Normalizing them and
+    # summing the joint row-major is the arithmetic of FactorizedDist.flatten,
+    # so the flat distribution is the same floats.
     log_sig = -math.log1p(math.exp(-eta)) if eta >= 0 else eta - math.log1p(math.exp(eta))
-    log_one_minus = log_sig - eta
-    fd = FactorizedDist(tuple(np.array([log_one_minus, log_sig]) for _ in range(NUM_BITS)))
-    flat = fd.flatten()
-    sig = sigmoid(eta)
-    f_vals = np.empty(DOMAIN)
-    jac = np.empty(DOMAIN)
-    for idx in range(DOMAIN):
-        bits = outcome_bits(idx)
-        f_vals[idx] = sum((b - t) ** 2 for b, t in zip(bits, TARGETS))
-        jac[idx] = sum(b - sig for b in bits)
+    bit_lp = np.array([log_sig - eta, log_sig])
+    bit_lp = bit_lp - log_sum_exp(bit_lp)
+    joint = np.zeros(1)
+    for _ in range(NUM_BITS):
+        joint = np.add.outer(joint, bit_lp).ravel()
+    flat = from_logits(joint)
+    d = _BITS - sigmoid(eta)
+    jac = (d[:, 0] + d[:, 1]) + d[:, 2]
     centered = jac - float(np.dot(flat.probs, jac))
-    score = centered * f_vals
-    for arr in (f_vals, jac, centered, score):
+    score = centered * _F_VALUES
+    for arr in (jac, centered, score):
         arr.setflags(write=False)
     return BernoulliToy(
         eta=eta,
         flat=flat,
-        f_values=f_vals,
+        f_values=_F_VALUES,
         eta_jacobian=jac,
         centered_jacobian=centered,
         score_objective=score,
@@ -116,15 +135,21 @@ def toy_scalar_grad(kind: str, eta: float, k: int, rng: Rng) -> float:
     of E[g] for the score-weighted objective g(x) = (d log p(x)/d-eta) f(x),
     an unbiased score-function gradient.  ``exact`` runs the unordered-set
     weights over the full domain, so a full-domain sample reproduces it bit
-    for bit.  The draw goes through the coefs function as a batch of one.
+    for bit.  This is the one-draw call of ``_scalar_grads``.
     """
+    return float(_scalar_grads(kind, eta, k, [rng])[0])
+
+
+def _scalar_grads(kind: str, eta: float, k: int, rngs) -> np.ndarray:
+    """The scalar gradient of one draw from each stream of ``rngs``: the draws
+    are stacked into one batch and go through one coefs call."""
     spec = est.estimator_spec(kind)
     toy = make_toy(eta)
-    points, r = spec.law.draw(rng, toy.flat, k)
-    elements, coefs = spec.coefs(
-        toy.flat, points[None], toy.f_values[points][None], None if r is None else r[None]
-    )
-    return float(np.dot(coefs[0], toy.centered_jacobian[elements[0]]))
+    draws = [spec.law.draw(rng, toy.flat, k) for rng in rngs]
+    points = np.array([p for p, _ in draws])
+    r = None if draws[0][1] is None else np.array([w for _, w in draws])
+    elements, coefs = spec.coefs(toy.flat, points, toy.f_values[points], r)
+    return est._rowdot(coefs, toy.centered_jacobian[elements])
 
 
 def toy_exact_moments(kind: str, eta: float, k: int):
@@ -203,18 +228,24 @@ class VarianceReport:
         return groups
 
 
-def _replicate(kind, eta, k, seed, replications):
-    return np.array(
-        [toy_scalar_grad(kind, eta, k, Rng(seed).split(r)) for r in range(replications)]
-    )
+def _replicate(kind, eta, k, seed, replications) -> np.ndarray:
+    """Replicates 0 .. replications-1 of one sweep cell, replicate r drawn
+    from the stream (seed, r), in chunks of ``_CHUNK_REPLICATES``."""
+    vals = np.empty(max(replications, 0))
+    for start in range(0, replications, _CHUNK_REPLICATES):
+        stop = min(start + _CHUNK_REPLICATES, replications)
+        vals[start:stop] = _scalar_grads(kind, eta, k, (Rng(seed, (r,)) for r in range(start, stop)))
+    return vals
 
 
 def variance_sweep(config: dict) -> VarianceReport:
     """Empirical variance of the scalar gradient per (estimator, k, eta).
 
     Config keys: ``estimators`` (ids), ``k`` (list), ``eta`` (list),
-    ``replications``, ``seed``.  Replicate r uses the split stream
-    (seed, r), so reports are reproducible regardless of scheduling.
+    ``replications``, ``seed``.  Replicate r draws from its own stream
+    ``Rng(seed, (r,))``, the stream of ``Rng(seed).split(r)``.  A cell runs
+    as chunks of replicates with one coefs call each; the chunk size changes
+    no output, so reports are reproducible regardless of batching.
     """
     estimators = list(config["estimators"])
     ks = [int(v) for v in config["k"]]
@@ -292,7 +323,7 @@ def optimize(config: dict) -> OptRun:
     trajectory = [(0, eta, exact_loss(eta))]
     diverged = False
     for t in range(steps):
-        grad = toy_scalar_grad(kind, eta, k, Rng(seed).split(t))
+        grad = toy_scalar_grad(kind, eta, k, Rng(seed, (t,)))
         eta = eta - lr * grad
         if abs(eta) > DIVERGENCE_BOUND:
             diverged = True

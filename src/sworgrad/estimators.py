@@ -210,8 +210,12 @@ def importance_weights(dist: CategoricalDist, S, kappa):
     """Elements (ascending) and priority-sampling weights p(s) / q(s, kappa)."""
     kv = _check_threshold(S, kappa)
     elements = _index_set(S, dist.n)
-    q = inclusion_probs(dist, elements, kv)
-    return elements, np.exp(dist.log_probs[elements]) / q
+    return elements, _priority_weights(dist, elements, kv)
+
+
+def _priority_weights(dist: CategoricalDist, elements: np.ndarray, kappa) -> np.ndarray:
+    """p(s) / q(s, kappa) for each of the checked ``elements``."""
+    return np.exp(dist.log_probs[elements]) / inclusion_probs(dist, elements, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +315,10 @@ def _risk_baseline_coefs(dist, S, fv, r=None):
 # ---------------------------------------------------------------------------
 # sampling laws
 #
-# ``draw(rng, dist, k)`` returns ``(points, r)`` as the coefs functions take
-# them; ``evals(k, n)`` is the number of points.
+# ``draw(rng, dist, k)`` returns one sample's ``(points, r)``, one row of what
+# the coefs functions take; ``evals(k, n)`` is the number of points.  The
+# Gumbel laws take the sampler's array path, which draws the same uniforms as
+# its one-sample form.
 
 
 class Law(NamedTuple):
@@ -321,18 +327,21 @@ class Law(NamedTuple):
 
 
 def _draw_set(rng, dist, k):
-    S, _ = gumbel_top_k(rng, dist, k)
-    return np.sort(S.indices), None
+    top, _, _ = gumbel_top_k(rng, dist, k, size=1)
+    return np.sort(top[0]), None
 
 
 def _draw_ordered(rng, dist, k):
-    B, _ = gumbel_top_k(rng, dist, k)
-    return B.indices, None
+    top, _, _ = gumbel_top_k(rng, dist, k, size=1)
+    return top[0], None
 
 
 def _draw_threshold(rng, dist, k):
-    S, threshold = gumbel_top_k(rng, dist, k)
-    return importance_weights(dist, S.to_unordered(), threshold)
+    """The set and its priority weights; at k = n there is no threshold and
+    every inclusion probability is 1."""
+    top, _, kappa = gumbel_top_k(rng, dist, k, size=1)
+    S = np.sort(top[0])
+    return S, _priority_weights(dist, S, None if k == dist.n else float(kappa[0]))
 
 
 def _draw_with_replacement(rng, dist, k):

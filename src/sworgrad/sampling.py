@@ -88,6 +88,8 @@ class Rng:
     The stream is fully determined by ``(seed, spawn_key)``; ``split(i)``
     yields an independent child stream, so parallel replications seeded as
     ``Rng(seed).split(replicate)`` are reproducible regardless of scheduling.
+    ``Rng(seed, (replicate,))`` is the same child stream, built without the
+    parent's generator.
     """
 
     def __init__(self, seed: int, spawn_key: tuple = ()):

@@ -1,4 +1,7 @@
+import gc
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 import sworgrad as sg
 from sworgrad import Rng, bench
 from sworgrad import estimators as est
-from sworgrad.errors import InvalidSampleSize, NeedTwoSamples
+from sworgrad.errors import InvalidSampleSize, NeedTwoSamples, SworgradError
 from sworgrad.sampling import sample_with_replacement
 
 
@@ -23,6 +26,28 @@ class TestToyProblem:
         np.testing.assert_allclose(
             toy.f_values[0], 0.6**2 + 0.51**2 + 0.48**2, atol=1e-14
         )
+
+    @pytest.mark.parametrize("eta", [0.0, -4.0, 2.5, 0.3, -37.5, 40.0])
+    def test_tables_equal_the_per_outcome_reference_bitwise(self, eta):
+        """The toy's vectors are the same floats as building the factorized
+        distribution and looping over the outcomes."""
+        toy = bench.make_toy(eta)
+        log_sig = -math.log1p(math.exp(-eta)) if eta >= 0 else eta - math.log1p(math.exp(eta))
+        bit = np.array([log_sig - eta, log_sig])
+        flat = sg.FactorizedDist((bit,) * bench.NUM_BITS).flatten()
+        sig = bench.sigmoid(eta)
+        f_vals, jac = [], []
+        for idx in range(bench.DOMAIN):
+            bits = bench.outcome_bits(idx)
+            f_vals.append(sum((b - t) ** 2 for b, t in zip(bits, bench.TARGETS)))
+            jac.append(sum(b - sig for b in bits))
+        centered = np.array(jac) - float(np.dot(flat.probs, jac))
+        assert toy.flat.log_probs.tolist() == flat.log_probs.tolist()
+        assert toy.flat.logits.tolist() == flat.logits.tolist()
+        assert toy.f_values.tolist() == f_vals
+        assert toy.eta_jacobian.tolist() == jac
+        assert toy.centered_jacobian.tolist() == centered.tolist()
+        assert toy.score_objective.tolist() == (centered * np.array(f_vals)).tolist()
 
     def test_exact_gradient_matches_finite_differences(self):
         step = 1e-5
@@ -199,13 +224,57 @@ class TestVarianceSweep:
             }
             row = bench.variance_sweep(config).rows[0]
             _, exact_var = bench.toy_exact_moments(kind, 0.0, k)
-            vals = np.array(
-                [bench.toy_scalar_grad(kind, 0.0, k, Rng(3).split(r)) for r in range(20000)]
-            )
+            vals = bench._replicate(kind, 0.0, k, 3, 20000)
             centered = vals - vals.mean()
             fourth = float(np.mean(centered**4))
             se = math.sqrt(max(fourth - exact_var**2, 0.0) / replications)
             assert abs(row.variance - exact_var) < 3 * se
+
+
+SWEEP_IDS = sorted(est.ESTIMATORS) + ["stoch-sum-and-sample-m1", "stoch-sum-and-sample-m2"]
+
+
+class TestChunkInvariance:
+    @pytest.mark.parametrize("kind", SWEEP_IDS)
+    def test_replicate_matches_its_one_draw_call_bitwise(self, kind, monkeypatch):
+        """Replicate r of a sweep cell is toy_scalar_grad on the stream
+        Rng(seed).split(r), bit for bit, whatever the chunk size; a k the
+        estimator refuses raises the one-draw call's error at every size."""
+        replications, seed = 20, 5
+        for k in range(1, bench.DOMAIN + 1):
+            for eta in (0.0, -4.0):
+                try:
+                    want = [
+                        bench.toy_scalar_grad(kind, eta, k, Rng(seed).split(r))
+                        for r in range(replications)
+                    ]
+                except SworgradError as exc:
+                    for chunk in (1, 7, replications):
+                        monkeypatch.setattr(bench, "_CHUNK_REPLICATES", chunk)
+                        with pytest.raises(type(exc), match=re.escape(str(exc))):
+                            bench._replicate(kind, eta, k, seed, replications)
+                    continue
+                for chunk in (1, 7, replications, 10**6):
+                    monkeypatch.setattr(bench, "_CHUNK_REPLICATES", chunk)
+                    got = bench._replicate(kind, eta, k, seed, replications)
+                    assert got.tolist() == want, (kind, k, eta, chunk)
+
+    def test_cell_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        """A cell's allocation peak is one chunk's working set plus the
+        output: ten times the replicates add their 8-byte values, and
+        otherwise only the garbage that the collector has not yet freed."""
+        monkeypatch.setattr(bench, "_CHUNK_REPLICATES", 16)
+        peaks = []
+        for replications in (32, 320):
+            bench._replicate("unordered-set-pg", 0.0, 6, 0, 1)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                bench._replicate("unordered-set-pg", 0.0, 6, 0, replications)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0] + 8 * (320 - 32)
 
 
 class TestOptimize:

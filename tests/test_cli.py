@@ -10,6 +10,13 @@ def _run(argv):
     return cli.run(argv)
 
 
+# (estimator, k, message) of the toy configs that must exit 1.
+SIZE_ERRORS = [
+    ("unordered-set-pg-bl", 1, "the built-in baseline needs at least two samples"),
+    ("iw-pg", 9, "k=9 outside [1, 8]"),
+]
+
+
 class TestProbset:
     def test_running_example(self, capsys):
         rc = _run(["probset", "--dist", "[0.5,0.3,0.2]", "--set", "0,1"])
@@ -146,8 +153,26 @@ class TestVariance:
         cfg = self._config(tmp_path, estimators=["unordered-set-pg-bl"], k=[1])
         assert _run(["variance", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("kind, k, message", SIZE_ERRORS)
+    def test_sample_size_error_message(self, tmp_path, capsys, kind, k, message):
+        cfg = self._config(tmp_path, estimators=[kind], k=[k])
+        assert _run(["variance", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
 
 class TestOptimize:
+    @pytest.mark.parametrize("kind, k, message", SIZE_ERRORS)
+    def test_sample_size_error_message(self, tmp_path, capsys, kind, k, message):
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({"estimator": kind, "k": k, "eta0": 0.0,
+                                   "step_size": 0.1, "steps": 5, "seed": 0}))
+        assert _run(["optimize", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_csv_output(self, tmp_path):
         cfg = tmp_path / "opt.json"
         cfg.write_text(

@@ -31,6 +31,16 @@ class TestRng:
         assert not np.array_equal(a, b)
         np.testing.assert_array_equal(a, Rng(7).split(0).generator.random(10))
 
+    def test_spawn_key_stream_is_the_split_stream(self):
+        for seed, r in ((0, 0), (7, 3), (123456789, 99999)):
+            direct = Rng(seed, (r,))
+            split = Rng(seed).split(r)
+            assert direct.spawn_key == split.spawn_key
+            np.testing.assert_array_equal(direct.uniform_open(50), split.uniform_open(50))
+            np.testing.assert_array_equal(
+                direct.generator.integers(0, 2**62, 20), split.generator.integers(0, 2**62, 20)
+            )
+
     def test_uniform_open_interval(self):
         u = Rng(0).uniform_open(10**6)
         assert np.all(u > 0.0)
