@@ -42,10 +42,8 @@ from .errors import (
 from .sampling import OrderedSample, Rng, Threshold, gumbel_top_k, sample_with_replacement
 from .setprob import (
     _as_rows,
-    _complement_log_masses,
     _complement_masses,
     _draw_indices,
-    _exclusion_rows,
     _index_set,
     _sample_indices,
     loo_ratios,
@@ -136,19 +134,15 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # sample weights
 
 
-def posterior_weights(dist: CategoricalDist, S, *, exclude=(), backend="auto"):
+def posterior_weights(dist: CategoricalDist, S):
     """Elements of S (ascending) and their first-draw posterior probabilities
-    p(s) R(S, s); on a restricted domain the weights use the renormalized p.
-    The weights always sum to 1 up to rounding.  S may be a (B, k) batch of
-    sets, as for ``loo_ratios``; both results then have one row per set.
+    p(s) R(S, s).  The weights always sum to 1 up to rounding.  S may be a
+    (B, k) batch of sets, as for ``loo_ratios``; both results then have one
+    row per set.
     """
     rows, single = _as_rows(S)
-    lr = loo_ratios(dist, rows, order=1, backend=backend, exclude=exclude)
-    lp = dist.log_probs[lr.elements]
-    excluded = _exclusion_rows(exclude, len(rows))
-    if excluded.size:
-        lp = lp - _complement_log_masses(dist, excluded)[:, None]
-    w = np.exp(lp) * lr.ratios
+    lr = loo_ratios(dist, rows, order=1)
+    w = np.exp(dist.log_probs[lr.elements]) * lr.ratios
     return (lr.elements[0], w[0]) if single else (lr.elements, w)
 
 

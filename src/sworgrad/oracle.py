@@ -6,28 +6,27 @@ ordered-sample probabilities come from the sequential chain rule, unordered
 probabilities from summing orderings, and threshold-dependent estimators are
 integrated against the conditional threshold density by adaptive quadrature.
 
-Each sample space is enumerated once and passed over once per estimator:
-``_SPACES`` lists every sample of a law as one row of a (B, k) index array
-with its probability, ``estimators._estimate`` evaluates the estimator on
-the whole space as one batch (one call of the estimator table and of the
-exact kernel), and ``_threshold_pass`` integrates the threshold estimators
-once per set.  The theorem report builds the set and ordered spaces once per
-instance and reads both the moments and the per-set conditional checks from
-those passes.
+A sample space is a pair of arrays: every sample as one row of a (P, k)
+index array, and the probability of each row.  ``_chain_probs`` is the one
+chain-rule product, and ``_by_set`` the one reduction from orderings to
+sets: ``enumerate_unordered`` groups the ordered space by it, and the theorem
+report reads the first-draw posterior and the stochastic sum-and-sample
+conditional means from the same grouping.  ``estimators._estimate``
+evaluates an estimator on a whole space as one batch (one call of the
+estimator table and of the exact kernel), and ``_threshold_pass`` integrates
+the threshold estimators once per set.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import estimators as est
 from .distributions import CategoricalDist, Objective, as_objective, from_logits
 from .errors import DomainTooLarge, InvalidSampleSize, SpaceTooLarge
-from .sampling import OrderedSample, UnorderedSample
-from .setprob import _index_set
+from .setprob import _index_set, p_set_exact, p_set_integral
 
 DOMAIN_CAP = 10**6
 SPACE_CAP = 10**6
@@ -35,14 +34,6 @@ SPACE_CAP = 10**6
 # Clip for the transformed quadrature variable: endpoint values stand in for
 # the (finite) endpoint limits of the integrands.
 _U_CLIP = 1e-12
-
-
-@dataclass(frozen=True)
-class EnumeratedSampleSpace:
-    """All samples of a given kind with their exact probabilities."""
-
-    entries: list
-    total: float
 
 
 def exact_expectation(dist: CategoricalDist, f) -> float:
@@ -69,46 +60,51 @@ def exact_gradient(dist: CategoricalDist, f) -> np.ndarray:
     return grad
 
 
-def _ordered_chain_prob(probs: np.ndarray, perm) -> float:
-    acc = 1.0
-    remaining = 1.0
-    for b in perm:
-        acc *= probs[b] / remaining
-        remaining -= probs[b]
+def _chain_probs(probs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Chain-rule probability of each row of ``points`` as an ordered draw
+    without replacement: the product over j of p(b_j) / (1 - p(b_1) - ...
+    - p(b_{j-1})), taken one column at a time."""
+    acc = np.ones(len(points))
+    remaining = np.ones(len(points))
+    for col in points.T:
+        p = probs[col]
+        acc = acc * (p / remaining)
+        remaining = remaining - p
     return acc
 
 
-def enumerate_ordered(dist: CategoricalDist, k: int) -> EnumeratedSampleSpace:
-    """Every ordered sample of size k with its chain-rule probability."""
+def _by_set(points: np.ndarray, values: np.ndarray):
+    """``values`` (one entry or row per row of ``points``) summed over the
+    rows that hold the same set, in row order.  Returns the sets, each sorted
+    and in lexicographic order, and their sums."""
+    sets, inverse = np.unique(np.sort(points, axis=1), axis=0, return_inverse=True)
+    sums = np.zeros((len(sets),) + values.shape[1:])
+    np.add.at(sums, inverse.reshape(-1), values)
+    return sets, sums
+
+
+def enumerate_ordered(dist: CategoricalDist, k: int):
+    """Every ordered sample of size k, one per row of a (P, k) index array,
+    and its chain-rule probability."""
     count = math.perm(dist.n, k)
     if count > SPACE_CAP:
         raise SpaceTooLarge(f"{count} ordered samples exceed {SPACE_CAP}")
-    probs = dist.probs
-    entries = [
-        (OrderedSample(np.array(perm)), _ordered_chain_prob(probs, perm))
-        for perm in itertools.permutations(range(dist.n), k)
-    ]
-    return EnumeratedSampleSpace(entries, float(math.fsum(p for _, p in entries)))
+    points = np.array(list(itertools.permutations(range(dist.n), k)), dtype=np.intp)
+    points = points.reshape(-1, k)
+    return points, _chain_probs(dist.probs, points)
 
 
-def enumerate_unordered(dist: CategoricalDist, k: int) -> EnumeratedSampleSpace:
-    """Every unordered sample of size k; probabilities aggregate orderings."""
+def enumerate_unordered(dist: CategoricalDist, k: int):
+    """Every unordered sample of size k, one sorted set per row of a (P, k)
+    index array, and its probability: the sum of its orderings'."""
     count = math.perm(dist.n, k)
     if count > SPACE_CAP:
         raise SpaceTooLarge(f"{count} orderings exceed {SPACE_CAP}")
     if k == dist.n:
         # The whole domain is drawn with certainty; its ordering sum would
         # only round away from 1.
-        return EnumeratedSampleSpace([(UnorderedSample(np.arange(k)), 1.0)], 1.0)
-    probs = dist.probs
-    acc: dict = {}
-    for perm in itertools.permutations(range(dist.n), k):
-        key = tuple(sorted(perm))
-        acc[key] = acc.get(key, 0.0) + _ordered_chain_prob(probs, perm)
-    entries = [
-        (UnorderedSample(np.array(key)), p) for key, p in sorted(acc.items())
-    ]
-    return EnumeratedSampleSpace(entries, float(math.fsum(p for _, p in entries)))
+        return np.arange(k)[None], np.ones(1)
+    return _by_set(*enumerate_ordered(dist, k))
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +112,12 @@ def enumerate_unordered(dist: CategoricalDist, k: int) -> EnumeratedSampleSpace:
 
 _QUAD_SHIFT = 5.0
 
+# Relative tolerance of the ladder's convergence test, and its node counts:
+# 129 on the first rung (the interval count a multiple of 8), doubling in
+# intervals up to the cap.
+_QUAD_TOL = 1e-9
+_START_NODES = 129
+_MAX_NODES = 65537
 
 # Most nodes the integrand is called on at once: the ladder's memory stays
 # bounded whatever the node count.
@@ -134,12 +136,12 @@ def _midpoint_sum(func, intervals: int):
     return total
 
 
-def _adaptive_trapezoid(func, tol: float, start_nodes: int = 129, max_nodes: int = 65537):
+def _adaptive_trapezoid(func, tol: float):
     """Extrapolated trapezoid on [0, 1] with node doubling until convergence.
 
     ``func`` maps an array of nodes in (0, 1) to integrand values of shape
     ``(len(nodes), ...)``; endpoint values are taken just inside the interval.
-    The node count runs 129, 257, ..., 65537; at ``max_nodes`` the last
+    The node count runs 129, 257, ..., 65537; at ``_MAX_NODES`` the last
     estimate is returned even if it has not converged.
 
     Each rung's estimate is the Richardson extrapolation (cancelling the h^2
@@ -149,11 +151,9 @@ def _adaptive_trapezoid(func, tol: float, start_nodes: int = 129, max_nodes: int
     So every node is evaluated once, in chunks of at most ``_CHUNK_NODES``
     nodes, and no grid is stored.
     """
-    intervals = start_nodes - 1
-    if intervals % 8 or start_nodes > _CHUNK_NODES:
-        raise ValueError(f"start_nodes - 1 must be a multiple of 8 below {_CHUNK_NODES}")
+    intervals = _START_NODES - 1
     h = 1.0 / intervals
-    vals = func(np.clip(np.linspace(0.0, 1.0, start_nodes), _U_CLIP, 1.0 - _U_CLIP))
+    vals = func(np.clip(np.linspace(0.0, 1.0, _START_NODES), _U_CLIP, 1.0 - _U_CLIP))
     ends = vals[0] + vals[-1]
     sums = [np.sum(vals[:: 2**j], axis=0) for j in range(4)]
     prev = None
@@ -168,7 +168,7 @@ def _adaptive_trapezoid(func, tol: float, start_nodes: int = 129, max_nodes: int
             scale = max(float(np.max(np.abs(total))), 1e-30)
             if err <= tol * scale:
                 return total
-        if intervals + 1 >= max_nodes:
+        if intervals + 1 >= _MAX_NODES:
             return total
         prev = total
         intervals *= 2
@@ -268,11 +268,11 @@ def _set_prob_by_orderings(dist: CategoricalDist, S_idx) -> float:
     count = math.factorial(len(S_idx))
     if count > SPACE_CAP:
         raise SpaceTooLarge(f"{count} orderings exceed {SPACE_CAP}")
-    probs = dist.probs
-    return math.fsum(_ordered_chain_prob(probs, perm) for perm in itertools.permutations(S_idx))
+    orderings = np.array(list(itertools.permutations(S_idx)), dtype=np.intp)
+    return math.fsum(_chain_probs(dist.probs, orderings))
 
 
-def conditional_iw_mean(dist: CategoricalDist, S, f, tol: float = 1e-9) -> float:
+def conditional_iw_mean(dist: CategoricalDist, S, f) -> float:
     """Mean of the importance-weighted estimate over the threshold given S."""
     spec = est.ESTIMATORS[est.IMPORTANCE_WEIGHTED]
     S_idx = _index_set(S, dist.n)
@@ -280,7 +280,7 @@ def conditional_iw_mean(dist: CategoricalDist, S, f, tol: float = 1e-9) -> float
     if len(S_idx) == dist.n:
         return float(np.dot(np.exp(dist.log_probs[S_idx]), obj.values_at(S_idx)))
     p_set = _set_prob_by_orderings(dist, S_idx)
-    mean, _ = _threshold_integrals(spec, dist, S_idx, obj, None, tol)
+    mean, _ = _threshold_integrals(spec, dist, S_idx, obj, None, _QUAD_TOL)
     return mean / p_set
 
 
@@ -311,24 +311,7 @@ def _project(outputs, project):
 
 # Sample spaces by sampling law: ``space(dist, k)`` returns every sample as
 # one row of a (B, points) index array, the points the law's draw returns,
-# and the list of their probabilities.
-
-def _space_of(enumerated: EnumeratedSampleSpace):
-    """An enumerated space as its samples, one per row, and their
-    probabilities."""
-    return (
-        np.array([s.indices for s, _ in enumerated.entries]),
-        [p for _, p in enumerated.entries],
-    )
-
-
-def _set_space(dist, k):
-    return _space_of(enumerate_unordered(dist, k))
-
-
-def _ordered_space(dist, k):
-    return _space_of(enumerate_ordered(dist, k))
-
+# and their probabilities.
 
 def _iid_space(law):
     """I.i.d. draws with replacement, as many as the law evaluates."""
@@ -357,8 +340,8 @@ def _full_space(dist, k):
 _WITHOUT_REPLACEMENT = (est.SET, est.ORDERED, est.THRESHOLD, est.DET_SPLIT)
 
 _SPACES = {
-    est.SET: _set_space,
-    est.ORDERED: _ordered_space,
+    est.SET: enumerate_unordered,
+    est.ORDERED: enumerate_ordered,
     est.WITH_REPLACEMENT: _iid_space(est.WITH_REPLACEMENT),
     est.PAIRED: _iid_space(est.PAIRED),
     est.DET_SPLIT: _det_split_space,
@@ -374,7 +357,6 @@ def estimator_moments(
     k: int,
     *,
     project=None,
-    quad_tol: float = 1e-9,
 ):
     """Exact mean and variance of an estimator under its true sampling law.
 
@@ -393,7 +375,7 @@ def estimator_moments(
     obj = as_objective(f)
     if spec.law == est.THRESHOLD:
         sets = np.array(list(itertools.combinations(range(dist.n), k)))
-        return _threshold_moments(*_threshold_pass(spec, dist, obj, sets, project, quad_tol))
+        return _threshold_moments(*_threshold_pass(spec, dist, obj, sets, project, _QUAD_TOL))
     points, probs = _SPACES[spec.law](dist, k)
     outputs = _project(est._estimate(spec, dist, points, obj), project)
     return _moments_from_entries(outputs, probs)
@@ -424,37 +406,21 @@ def _threshold_moments(means, seconds):
 # ---------------------------------------------------------------------------
 # theorem report
 
-def _posterior_from_orderings(points, probs):
-    """First-draw posterior per set, aggregated from the ordered sample space
-    (its rows and their probabilities); independent of the leave-one-out
-    kernels."""
-    by_set: dict = {}
-    for perm, p in zip(points.tolist(), probs):
-        vec = by_set.setdefault(tuple(sorted(perm)), {})
-        vec[perm[0]] = vec.get(perm[0], 0.0) + p
-    out = {}
-    for key, vec in by_set.items():
-        mass = math.fsum(vec.values())
-        out[key] = np.array([vec.get(s, 0.0) / mass for s in key])
-    return out
-
-
 def _random_instance(gen, n):
     logits = gen.normal(0.0, 1.0, n)
     f = gen.normal(0.0, 1.0, n)
     return from_logits(logits), f
 
 
-def theorem_report(
-    n: int, k: int, cases: int, seed: int, quad_tol: float = 1e-9
-) -> dict:
+def theorem_report(n: int, k: int, cases: int, seed: int) -> dict:
     """Run every identity check on random instances; JSON-ready report.
 
     Each check records its worst error across instances and whether it stayed
-    within tolerance.
+    within tolerance.  Checks of estimators that need more samples than k
+    (the baselines and stochastic sum-and-sample need two, its split m = 2
+    three) or a larger domain than n (deterministic sum-and-sample draws
+    two) are left out.
     """
-    from . import setprob
-
     if not 1 <= k <= n:
         raise InvalidSampleSize(f"k={k} outside [1, {n}]")
     gen = np.random.default_rng(seed)
@@ -475,18 +441,21 @@ def theorem_report(
         exact_g_full = exact_gradient(dist, obj_full)
 
         # Each space is enumerated once and every estimator on it runs as
-        # one batch; the outputs follow the rows of the space.
-        set_points, set_probs = _set_space(dist, k)
-        ordered_points, ordered_probs = _ordered_space(dist, k)
+        # one batch; the outputs follow the rows of the space.  Grouping the
+        # ordered space by set gives the sets in the set space's row order.
+        set_points, set_probs = enumerate_unordered(dist, k)
+        ordered_points, ordered_probs = enumerate_ordered(dist, k)
 
         us_vals = est._estimate(est.estimator_spec(est.UNORDERED_SET), dist, set_points, obj)
-        keys = [tuple(S) for S in set_points.tolist()]
         mean_us, var_us = _moments_from_entries(us_vals, set_probs)
         track("unordered-set-unbiased", 1e-9, abs(mean_us - exact_e))
 
-        posterior = _posterior_from_orderings(ordered_points, ordered_probs)
-        for key, us_val in zip(keys, us_vals):
-            post_val = float(np.dot(posterior[key], f[list(key)]))
+        # The first-draw posterior of each set: the mass of its orderings
+        # that draw each element first, normalized.
+        first = np.sort(ordered_points, axis=1) == ordered_points[:, :1]
+        _, first_mass = _by_set(ordered_points, ordered_probs[:, None] * first)
+        for S, mass, us_val in zip(set_points, first_mass, us_vals):
+            post_val = float(np.dot(mass / math.fsum(mass), f[S]))
             track("first-draw-posterior-matches-set-estimate", 1e-10, abs(post_val - us_val))
 
         for name, eid, objective, exact in (
@@ -494,40 +463,41 @@ def theorem_report(
             ("uspg-baseline-unbiased", est.UNORDERED_SET_PG_BL, obj, exact_g),
             ("full-uspg-unbiased", est.FULL_UNORDERED_SET_PG, obj_full, exact_g_full),
         ):
+            if eid == est.UNORDERED_SET_PG_BL and k < 2:
+                continue
             values = est._estimate(est.estimator_spec(eid), dist, set_points, objective)
             mean, _ = _moments_from_entries(values, set_probs)
             track(name, 1e-9, np.max(np.abs(mean - exact)))
 
-        set_f = obj.values_at(set_points).reshape(set_points.shape)
-        cv = est._control_variate(dist, set_points, set_f)
-        cv_mean = np.sum(np.array(set_probs)[:, None] * cv, axis=0)
-        track("control-variate-zero-mean", 1e-10, np.max(np.abs(cv_mean / math.fsum(set_probs))))
+        if k >= 2:
+            set_f = obj.values_at(set_points).reshape(set_points.shape)
+            cv = est._control_variate(dist, set_points, set_f)
+            cv_mean = np.sum(set_probs[:, None] * cv, axis=0) / math.fsum(set_probs)
+            track("control-variate-zero-mean", 1e-10, np.max(np.abs(cv_mean)))
 
-        ordered_keys = [tuple(sorted(B)) for B in ordered_points.tolist()]
-        for m in [1] + ([2] if k >= 3 else []):
+        for m in range(1, min(k, 3)):
             sas_spec = est.estimator_spec(est.stoch_sas_id(m))
             sas_vals = est._estimate(sas_spec, dist, ordered_points, obj)
             mean, var_sas = _moments_from_entries(sas_vals, ordered_probs)
             track("stoch-sum-and-sample-unbiased", 1e-9, abs(mean - exact_e))
-            cond: dict = {}
-            for key, p, val in zip(ordered_keys, ordered_probs, sas_vals.tolist()):
-                tot, acc = cond.get(key, (0.0, 0.0))
-                cond[key] = (tot + p, acc + p * val)
-            for key, us_val in zip(keys, us_vals):
-                tot, acc = cond[key]
+            _, cond = _by_set(
+                ordered_points, np.stack([ordered_probs, ordered_probs * sas_vals], axis=1)
+            )
+            for (tot, acc), us_val in zip(cond, us_vals):
                 track("stoch-sum-and-sample-conditional", 1e-10, abs(acc / tot - us_val))
             track("variance-dominance", 1e-10, max(0.0, var_us - var_sas))
 
         _, var_ss = estimator_moments(est.SINGLE_SAMPLE, dist, f, k)
         track("variance-dominance", 1e-10, max(0.0, var_us - var_ss))
 
-        mean, _ = estimator_moments(est.DET_SUM_AND_SAMPLE, dist, f, max(k, 2))
-        track("det-sum-and-sample-unbiased", 1e-9, abs(mean - exact_e))
+        if n >= 2:
+            mean, _ = estimator_moments(est.DET_SUM_AND_SAMPLE, dist, f, max(k, 2))
+            track("det-sum-and-sample-unbiased", 1e-9, abs(mean - exact_e))
 
         # One threshold integral per set gives the moments and, divided by the
         # set's chain-rule probability, the conditional mean given the set.
         iw_means, iw_seconds = _threshold_pass(
-            est.ESTIMATORS[est.IMPORTANCE_WEIGHTED], dist, obj, set_points, None, quad_tol
+            est.ESTIMATORS[est.IMPORTANCE_WEIGHTED], dist, obj, set_points, None, _QUAD_TOL
         )
         mean_iw, var_iw = _threshold_moments(iw_means, iw_seconds)
         track("importance-weighted-unbiased", 1e-6, abs(mean_iw - exact_e))
@@ -542,15 +512,17 @@ def theorem_report(
 
         mean, _ = estimator_moments(est.REINFORCE_WR, dist, f, k)
         track("reinforce-wr-unbiased", 1e-9, np.max(np.abs(mean - exact_g)))
-        mean, _ = estimator_moments(est.REINFORCE_WR_BL, dist, f, k)
-        track("reinforce-wr-baseline-unbiased", 1e-9, np.max(np.abs(mean - exact_g)))
+        if k >= 2:
+            mean, _ = estimator_moments(est.REINFORCE_WR_BL, dist, f, k)
+            track("reinforce-wr-baseline-unbiased", 1e-9, np.max(np.abs(mean - exact_g)))
 
-        S_rand = tuple(sorted(gen.choice(n, size=min(k, 6), replace=False).tolist()))
-        log_naive = setprob.p_set_naive(dist, S_rand)
-        log_exact = setprob.p_set_exact(dist, S_rand)
-        log_integral = setprob.p_set_integral(dist, S_rand)
-        scale = max(abs(log_naive), abs(log_exact), abs(log_integral), 1.0)
-        track("set-probability-backends-agree", 1e-8, abs(log_naive - log_exact) / scale)
+        # The kernels against the chain-rule sum over orderings, and each other.
+        S_rand = np.sort(gen.choice(n, size=min(k, 6), replace=False))
+        log_chain = math.log(_set_prob_by_orderings(dist, S_rand))
+        log_exact = p_set_exact(dist, S_rand)
+        log_integral = p_set_integral(dist, S_rand)
+        scale = max(abs(log_chain), abs(log_exact), abs(log_integral), 1.0)
+        track("set-probability-backends-agree", 1e-8, abs(log_chain - log_exact) / scale)
         track("set-probability-backends-agree", 1e-8, abs(log_exact - log_integral) / scale)
 
     checks = [

@@ -5,7 +5,10 @@ distinct elements (sampling one by one without replacement, order discarded)
 admits three interchangeable kernels:
 
 * ``naive``    -- sum over all k! orderings of the chain-rule product
-                  (factorial cost; reference oracle for small k).
+                  (factorial cost).  It is the permutation-sum reference
+                  that the tests and the benchmark's policy-gradient gate
+                  read for small k.  ``oracle`` does not read it: it keeps
+                  its own chain-rule sum.
 * ``exact``    -- signed inclusion-exclusion over subsets c of S,
                   sum_c (-1)^{|c|} m0 / (m0 + mass(c)) with m0 = 1 - mass(S)
                   (2^k cost); sums that cancel below ``CANCELLATION_FLOOR``

@@ -78,12 +78,12 @@ def test_criterion_2_rao_blackwell_identities(instances):
         by_set_first = {}
         splits = [1] + ([2] if k >= 3 else [])
         cond = {m: {} for m in splits}
-        for b, p in oracle.enumerate_ordered(dist, k).entries:
-            key = tuple(sorted(b.indices.tolist()))
+        for b, p in zip(*oracle.enumerate_ordered(dist, k)):
+            key = tuple(sorted(b.tolist()))
             vec = by_set_first.setdefault(key, dict.fromkeys(key, 0.0))
-            vec[int(b.indices[0])] += p
+            vec[int(b[0])] += p
             for m in splits:
-                val = est.stoch_sum_and_sample(dist, b.indices, f, m=m)
+                val = est.stoch_sum_and_sample(dist, b, f, m=m)
                 tot, acc = cond[m].get(key, (0.0, 0.0))
                 cond[m][key] = (tot + p, acc + p * val)
 
@@ -128,12 +128,12 @@ def test_criterion_3_variance_dominance(instances):
 def test_criterion_4_control_variate_zero_mean(instances):
     worst = 0.0
     for dist, f, k in instances:
-        space = oracle.enumerate_unordered(dist, k)
+        sets, probs = oracle.enumerate_unordered(dist, k)
         cv = sum(
-            p * sg.uspg_baseline_control_variate(dist, s.indices, f)
-            for s, p in space.entries
+            p * sg.uspg_baseline_control_variate(dist, s, f)
+            for s, p in zip(sets, probs)
         )
-        worst = max(worst, float(np.max(np.abs(cv / space.total))))
+        worst = max(worst, float(np.max(np.abs(cv / math.fsum(probs)))))
     _report(4, f"control variate zero mean (worst {worst:.2e})", worst <= 1e-10)
 
 
@@ -193,8 +193,8 @@ def test_criterion_7_sampler_laws(running_dist):
 
     ordered_counts = Counter(map(tuple, idx.tolist()))
     ordered_expected = {
-        tuple(b.indices.tolist()): p
-        for b, p in oracle.enumerate_ordered(running_dist, 2).entries
+        tuple(b.tolist()): p
+        for b, p in zip(*oracle.enumerate_ordered(running_dist, 2))
     }
     keys = sorted(ordered_expected)
     p_ordered = chisquare(

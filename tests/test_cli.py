@@ -92,6 +92,20 @@ class TestCheck:
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         assert checks["importance-weighted-conditional"]["max_abs_err"] == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_single_sample_passes(self, tmp_path, n):
+        """At k = 1 the checks of estimators that need two samples, or a
+        domain of two, are left out; the rest pass."""
+        out = tmp_path / "report.json"
+        argv = ["check", "--n", str(n), "--k", "1", "--cases", "3", "--seed", "0"]
+        assert _run(argv + ["--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        names = {c["name"] for c in report["checks"]}
+        assert report["all_passed"]
+        assert "unordered-set-unbiased" in names
+        assert "uspg-baseline-unbiased" not in names
+        assert ("det-sum-and-sample-unbiased" in names) == (n >= 2)
+
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["check", "--n", "3", "--k", "2", "--cases", "2", "--seed", "5"]

@@ -76,9 +76,9 @@ class TestStochSumAndSample:
             d = random_dist(gen, n)
             f = gen.normal(0, 1, n)
             cond = {}
-            for b, p in oracle.enumerate_ordered(d, k).entries:
-                key = tuple(sorted(b.indices.tolist()))
-                val = sg.stoch_sum_and_sample(d, b.indices, f, m=m)
+            for b, p in zip(*oracle.enumerate_ordered(d, k)):
+                key = tuple(sorted(b.tolist()))
+                val = sg.stoch_sum_and_sample(d, b, f, m=m)
                 tot, acc = cond.get(key, (0.0, 0.0))
                 cond[key] = (tot + p, acc + p * val)
             for key, (tot, acc) in cond.items():
@@ -219,12 +219,12 @@ class TestUspgBaseline:
             d = random_dist(gen, n)
             f = gen.normal(0, 1, n)
             k = int(gen.integers(2, n + 1))
-            space = oracle.enumerate_unordered(d, k)
+            sets, probs = oracle.enumerate_unordered(d, k)
             cv = sum(
-                p * sg.uspg_baseline_control_variate(d, s.indices, f)
-                for s, p in space.entries
+                p * sg.uspg_baseline_control_variate(d, s, f)
+                for s, p in zip(sets, probs)
             )
-            assert np.max(np.abs(cv / space.total)) < 1e-10
+            assert np.max(np.abs(cv / math.fsum(probs))) < 1e-10
 
     def test_needs_two_samples(self, running_dist, running_f):
         with pytest.raises(NeedTwoSamples):
@@ -474,7 +474,7 @@ def _batch_space(spec, dist, k, gen):
     """Up to 12 random samples of the spec's law at size k as a (B, points)
     batch, with one row of importance weights each for the threshold law."""
     if spec.law == est.THRESHOLD:
-        points, _ = oracle._set_space(dist, k)
+        points, _ = oracle.enumerate_unordered(dist, k)
     else:
         points, _ = oracle._SPACES[spec.law](dist, k)
     points = points[np.sort(gen.choice(len(points), size=min(len(points), 12), replace=False))]

@@ -6,7 +6,7 @@ import pytest
 
 import sworgrad as sg
 from conftest import random_dist
-from sworgrad import oracle
+from sworgrad import oracle, setprob
 from sworgrad import estimators as est
 from sworgrad.distributions import as_objective
 from sworgrad.errors import InvalidSampleSize, SpaceTooLarge
@@ -47,20 +47,20 @@ class TestExactValues:
 
 class TestEnumeration:
     def test_ordered_completeness(self, running_dist):
-        space = oracle.enumerate_ordered(running_dist, 2)
-        assert len(space.entries) == 6
-        assert abs(space.total - 1.0) < 1e-12
+        points, probs = oracle.enumerate_ordered(running_dist, 2)
+        assert len(points) == 6
+        assert abs(math.fsum(probs) - 1.0) < 1e-12
 
     def test_full_length_orderings(self, running_dist):
-        space = oracle.enumerate_ordered(running_dist, 3)
-        assert len(space.entries) == 6
-        unordered = oracle.enumerate_unordered(running_dist, 3)
-        assert len(unordered.entries) == 1
-        assert abs(unordered.entries[0][1] - 1.0) < 1e-12
+        points, _ = oracle.enumerate_ordered(running_dist, 3)
+        assert len(points) == 6
+        sets, probs = oracle.enumerate_unordered(running_dist, 3)
+        assert len(sets) == 1
+        assert abs(probs[0] - 1.0) < 1e-12
 
     def test_unordered_mass_matches_naive(self, running_dist):
-        space = oracle.enumerate_unordered(running_dist, 2)
-        masses = {tuple(s.indices.tolist()): p for s, p in space.entries}
+        sets, probs = oracle.enumerate_unordered(running_dist, 2)
+        masses = {tuple(s.tolist()): p for s, p in zip(sets, probs)}
         np.testing.assert_allclose(masses[(0, 1)], 18.0 / 35.0, atol=1e-14)
 
     def test_aggregation_matches_every_backend(self):
@@ -75,9 +75,8 @@ class TestEnumeration:
             n = int(gen.integers(4, 9))
             d = random_dist(gen, n)
             k = int(gen.integers(1, min(4, n) + 1))
-            space = oracle.enumerate_unordered(d, k)
-            for s, p in space.entries:
-                S = tuple(s.indices.tolist())
+            for s, p in zip(*oracle.enumerate_unordered(d, k)):
+                S = tuple(s.tolist())
                 assert abs(math.exp(p_set_naive(d, S)) - p) < 1e-10
                 assert abs(math.exp(p_set_exact(d, S)) - p) < 1e-10
                 assert abs(math.exp(p_set_integral(d, S, nodes=4000)) - p) < 1e-10
@@ -118,10 +117,10 @@ class TestPosterior:
             d = random_dist(gen, n)
             k = int(gen.integers(2, min(4, n) + 1))
             by_set = {}
-            for b, p in oracle.enumerate_ordered(d, k).entries:
-                key = tuple(sorted(b.indices.tolist()))
+            for b, p in zip(*oracle.enumerate_ordered(d, k)):
+                key = tuple(sorted(b.tolist()))
                 vec = by_set.setdefault(key, dict.fromkeys(key, 0.0))
-                vec[int(b.indices[0])] += p
+                vec[int(b[0])] += p
             for key, vec in by_set.items():
                 total = sum(vec.values())
                 want = np.array([vec[s] / total for s in key])
@@ -320,7 +319,7 @@ class TestThresholdQuadrature:
         gen = np.random.default_rng(n)
         for _ in range(3):
             dist, f = oracle._random_instance(gen, n)
-            sets, probs = oracle._set_space(dist, k)
+            sets, probs = oracle.enumerate_unordered(dist, k)
             means, _ = oracle._threshold_pass(spec, dist, as_objective(f), sets, None, 1e-9)
             assert len(means) == len(sets)
             for mean, S, p in zip(means, sets, probs):
@@ -337,3 +336,14 @@ class TestTheoremReport:
         assert "first-draw-posterior-matches-set-estimate" in names
         for c in report["checks"]:
             assert c["max_abs_err"] <= c["tolerance"]
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 3)])
+    def test_independent_of_naive_kernel(self, monkeypatch, n, k):
+        """The report takes its chain-rule references from the oracle's own
+        enumeration, never from the permutation-sum kernel it checks."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the naive set-probability kernel")
+
+        monkeypatch.setattr(setprob, "_naive_restricted_logs", refuse)
+        monkeypatch.setattr(setprob, "p_set_naive", refuse)
+        assert oracle.theorem_report(n=n, k=k, cases=3, seed=0)["all_passed"]

@@ -91,8 +91,8 @@ class TestGumbelTopK:
         idx, _, _ = gumbel_top_k(Rng(7), running_dist, 2, size=10**6)
         counts = Counter(map(tuple, idx.tolist()))
         expected = {
-            tuple(b.indices.tolist()): p
-            for b, p in enumerate_ordered(running_dist, 2).entries
+            tuple(b.tolist()): p
+            for b, p in zip(*enumerate_ordered(running_dist, 2))
         }
         assert _tv(counts, expected, 10**6) < 0.01
         keys = sorted(expected)
