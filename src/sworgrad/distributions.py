@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DegenerateRestriction,
     DomainTooLarge,
+    InvalidIndices,
     InvalidLogits,
     InvalidRestriction,
     NoParameterization,
@@ -43,6 +44,43 @@ def log_sum_exp(values: np.ndarray) -> float:
     if hi == -math.inf:
         return -math.inf
     return hi + math.log(float(np.sum(np.exp(values - hi))))
+
+
+def _index_rows(sample, n: int, *, sets: bool = True):
+    """The one index check of every public entry point.
+
+    ``sample`` is a sample object (anything with ``.indices``), a 1-D
+    array-like (one sample) or a (B, k) array (B samples, one per row).
+    Returns the samples as a (B, k) int array, one row for a 1-D input, and
+    whether the input was one sample.  Set rows (``sets``) come back sorted
+    and must hold distinct elements; draws (``sets=False``) keep their order
+    and may repeat.  Raises InvalidIndices unless every index lies in
+    range(n).  The checks are whole-array operations: batches of hundreds of
+    rows are the common input.
+    """
+    idx = np.asarray(getattr(sample, "indices", sample), dtype=int)
+    single = idx.ndim != 2
+    rows = idx.reshape(1, -1) if single else idx
+    if not rows.size:
+        return rows, single
+    if sets:
+        rows = np.sort(rows, axis=1)
+        repeats = rows[:, 1:] == rows[:, :-1]
+        if np.count_nonzero(repeats):
+            bad = rows[repeats.any(axis=1)][0].tolist()
+            raise InvalidIndices(f"set elements must be distinct, got {bad}")
+    if rows.min() < 0 or rows.max() >= n:
+        raise InvalidIndices(f"set elements out of range for domain of size {n}")
+    return rows, single
+
+
+def _index_row(sample, n: int, *, sets: bool = True) -> np.ndarray:
+    """The indices of one sample, checked by ``_index_rows``, as a 1-D array;
+    a (B, k) array with B != 1 is not one sample."""
+    rows, _ = _index_rows(sample, n, sets=sets)
+    if len(rows) != 1:
+        raise InvalidIndices(f"expected one sample, got {len(rows)} rows")
+    return rows[0]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -81,16 +119,23 @@ class CategoricalDist:
         return np.exp(self.log_probs)
 
     def log_prob(self, x: int) -> float:
+        """log p(x), by plain numpy indexing: this accessor sits on internal
+        paths whose indices are already checked, so it does not check x
+        (a negative x counts from the end)."""
         return float(self.log_probs[x])
 
     def prob(self, x: int) -> float:
+        """p(x), unchecked like ``log_prob``."""
         return math.exp(self.log_prob(x))
 
     def has_logits(self) -> bool:
         return self.logits is not None
 
     def complement_log_mass(self, C: Iterable[int]) -> float:
-        """log of the probability mass outside C, via logsumexp over D \\ C."""
+        """log of the probability mass outside C, via logsumexp over D \\ C.
+
+        C is used as a numpy index, unchecked: the kernels call this with
+        indices that ``_index_rows`` has already checked."""
         mask = np.ones(self.n, dtype=bool)
         idx = np.fromiter(C, dtype=int, count=-1) if not isinstance(C, np.ndarray) else C
         if len(idx):
@@ -145,8 +190,9 @@ def restricted_log_prob(dist: CategoricalDist, C: Iterable[int], x: int) -> floa
     The denominator is computed as a logsumexp over the complement of C, which
     stays accurate even when C carries almost all mass.
     """
-    C = frozenset(int(c) for c in C)
-    if x in C:
+    C = _index_row(list(C), dist.n)
+    (x,) = _index_row(int(x), dist.n)
+    if x in C.tolist():
         raise InvalidRestriction(f"element {x} lies in the excluded set")
     log_rest = dist.complement_log_mass(C)
     if log_rest < math.log(1e-12):
@@ -158,6 +204,7 @@ def grad_log_prob(dist: CategoricalDist, x: int) -> np.ndarray:
     """Gradient of log p(x) with respect to the logits: onehot(x) - probs."""
     if not dist.has_logits():
         raise NoParameterization("distribution has no logits")
+    (x,) = _index_row(int(x), dist.n)
     g = -dist.probs
     g[x] += 1.0
     return g

@@ -9,6 +9,11 @@ class InvalidLogits(SworgradError):
     """Logits are non-finite or empty."""
 
 
+class InvalidIndices(SworgradError, ValueError):
+    """Sample indices lie outside the domain, repeat inside a set, or do not
+    fit the sample they exclude from."""
+
+
 class InvalidRestriction(SworgradError):
     """The queried element lies inside the excluded set."""
 

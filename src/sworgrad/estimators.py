@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .distributions import CategoricalDist, as_objective
+from .distributions import CategoricalDist, _index_row, _index_rows, as_objective
 from .errors import (
     BaselineSizeMismatch,
     InconsistentThreshold,
@@ -40,14 +40,7 @@ from .errors import (
     NoPathwiseGradient,
 )
 from .sampling import OrderedSample, Rng, Threshold, gumbel_top_k, sample_with_replacement
-from .setprob import (
-    _as_rows,
-    _complement_masses,
-    _draw_indices,
-    _index_set,
-    _sample_indices,
-    loo_ratios,
-)
+from .setprob import _complement_masses, loo_ratios
 
 EXACT = "exact"
 SINGLE_SAMPLE = "single-sample"
@@ -93,7 +86,6 @@ class GradEstimate:
     estimator_id: str
     k: int
     evals: int
-    seed: int | None = None
 
     def __post_init__(self):
         g = np.asarray(self.grad, dtype=float)
@@ -140,10 +132,8 @@ def posterior_weights(dist: CategoricalDist, S):
     (B, k) batch of sets, as for ``loo_ratios``; both results then have one
     row per set.
     """
-    rows, single = _as_rows(S)
-    lr = loo_ratios(dist, rows, order=1)
-    w = np.exp(dist.log_probs[lr.elements]) * lr.ratios
-    return (lr.elements[0], w[0]) if single else (lr.elements, w)
+    lr = loo_ratios(dist, S, order=1)
+    return lr.elements, np.exp(dist.log_probs[lr.elements]) * lr.ratios
 
 
 def sum_and_sample_weights(dist: CategoricalDist, B, m: int = 1):
@@ -156,7 +146,7 @@ def sum_and_sample_weights(dist: CategoricalDist, B, m: int = 1):
     the mass outside H spread by the restricted first-draw posterior, so the
     weights total 1 up to rounding.
     """
-    idx, single = _as_rows(B)
+    idx, single = _index_rows(B, dist.n, sets=False)
     k = idx.shape[1]
     if not 1 <= m < k:
         raise InvalidSplit(f"need 1 <= m < k, got m={m}, k={k}")
@@ -177,7 +167,7 @@ def det_sum_and_sample_split(dist: CategoricalDist, k: int) -> np.ndarray:
 def inclusion_probs(dist: CategoricalDist, elements, kappa) -> np.ndarray:
     """q(s, kappa) = P(perturbed log-prob of s exceeds kappa); ones for the
     full-domain sentinel.  Computed as -expm1(-exp(log p(s) - kappa))."""
-    elements = _sample_indices(elements)
+    elements = _index_row(elements, dist.n, sets=False)
     kv = _kappa_of(kappa)
     if kv is None:
         return np.ones(len(elements))
@@ -203,7 +193,7 @@ def _check_threshold(S, kappa):
 def importance_weights(dist: CategoricalDist, S, kappa):
     """Elements (ascending) and priority-sampling weights p(s) / q(s, kappa)."""
     kv = _check_threshold(S, kappa)
-    elements = _index_set(S, dist.n)
+    elements = _index_row(S, dist.n)
     return elements, _priority_weights(dist, elements, kv)
 
 
@@ -446,10 +436,10 @@ def _estimate_one(spec: EstimatorSpec, dist: CategoricalDist, points, obj, r=Non
     return float(out) if spec.output == VALUE else out
 
 
-def _grad_estimate(estimator_id, dist, points, f, k, r=None, seed=None) -> GradEstimate:
+def _grad_estimate(estimator_id, dist, points, f, k, r=None) -> GradEstimate:
     spec = ESTIMATORS[estimator_id]
     grad = _estimate_one(spec, dist, points, as_objective(f), r)
-    return GradEstimate(grad, estimator_id, k=k, evals=spec.law.evals(k, dist.n), seed=seed)
+    return GradEstimate(grad, estimator_id, k=k, evals=spec.law.evals(k, dist.n))
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +449,14 @@ def _grad_estimate(estimator_id, dist, points, f, k, r=None, seed=None) -> GradE
 def unordered_set_estimate(dist: CategoricalDist, S, f) -> float:
     """sum_{s in S} p(s) R(S, s) f(s): the conditional mean of f at the first
     draw given the unordered sample, hence unbiased for E[f]."""
-    return _estimate_one(ESTIMATORS[UNORDERED_SET], dist, _index_set(S, dist.n), as_objective(f))
+    return _estimate_one(ESTIMATORS[UNORDERED_SET], dist, _index_row(S, dist.n), as_objective(f))
 
 
 def stoch_sum_and_sample(dist: CategoricalDist, B, f, m: int = 1) -> float:
     """Sum the first k-m drawn terms exactly; estimate the remainder from the
     last m draws via the restricted unordered set estimator."""
     spec = estimator_spec(stoch_sas_id(m))
-    return _estimate_one(spec, dist, _sample_indices(B), as_objective(f))
+    return _estimate_one(spec, dist, _index_row(B, dist.n, sets=False), as_objective(f))
 
 
 def det_sum_and_sample(dist: CategoricalDist, f, k: int, rng: Rng) -> float:
@@ -487,13 +477,13 @@ def importance_weighted(dist: CategoricalDist, S, kappa, f) -> float:
 # policy-gradient estimators
 
 
-def uspg(dist: CategoricalDist, S, f, *, seed: int | None = None) -> GradEstimate:
+def uspg(dist: CategoricalDist, S, f) -> GradEstimate:
     """Unordered-set policy gradient: sum_s grad-p(s) R(S, s) f(s)."""
-    S = _index_set(S, dist.n)
-    return _grad_estimate(UNORDERED_SET_PG, dist, S, f, len(S), seed=seed)
+    S = _index_row(S, dist.n)
+    return _grad_estimate(UNORDERED_SET_PG, dist, S, f, len(S))
 
 
-def uspg_baseline(dist: CategoricalDist, S, f, *, seed: int | None = None) -> GradEstimate:
+def uspg_baseline(dist: CategoricalDist, S, f) -> GradEstimate:
     """Unordered-set policy gradient with its built-in control variate.
 
     Each f(s) is centered by a leave-one-out estimate of E[f] built from the
@@ -501,15 +491,15 @@ def uspg_baseline(dist: CategoricalDist, S, f, *, seed: int | None = None) -> Gr
     constant (no gradient flows through it), which keeps the estimator
     unbiased.
     """
-    S = _index_set(S, dist.n)
-    return _grad_estimate(UNORDERED_SET_PG_BL, dist, S, f, len(S), seed=seed)
+    S = _index_row(S, dist.n)
+    return _grad_estimate(UNORDERED_SET_PG_BL, dist, S, f, len(S))
 
 
 def uspg_baseline_control_variate(dist: CategoricalDist, S, f) -> np.ndarray:
     """The subtracted control-variate term of the baseline estimator,
     sum_s grad-p(s) R(S, s) * baseline(s); its expectation over S is zero."""
     _require_logits(dist)
-    S = _index_set(S, dist.n)[None]
+    S = _index_row(S, dist.n)[None]
     return _control_variate(dist, S, as_objective(f).values_at(S)[None])[0]
 
 
@@ -519,41 +509,35 @@ def _control_variate(dist: CategoricalDist, S, fv) -> np.ndarray:
     return _score_sum(dist, elements, w * b)
 
 
-def fuspg(dist: CategoricalDist, S, f, *, seed: int | None = None) -> GradEstimate:
+def fuspg(dist: CategoricalDist, S, f) -> GradEstimate:
     """Unordered-set policy gradient plus the pathwise term for objectives
     that depend on the parameters: sum_s R(S, s) grad(p(s) f(s))."""
-    S = _index_set(S, dist.n)
-    return _grad_estimate(FULL_UNORDERED_SET_PG, dist, S, f, len(S), seed=seed)
+    S = _index_row(S, dist.n)
+    return _grad_estimate(FULL_UNORDERED_SET_PG, dist, S, f, len(S))
 
 
-def reinforce_wr(
-    dist: CategoricalDist, X, f, baseline: bool = True, *, seed: int | None = None
-) -> GradEstimate:
+def reinforce_wr(dist: CategoricalDist, X, f, baseline: bool = True) -> GradEstimate:
     """REINFORCE on k independent draws, optionally centering each term by
     the mean objective of the other k-1 draws."""
-    X = _draw_indices(X, dist.n)
+    X = _index_row(X, dist.n, sets=False)
     if len(X) < 1:
         raise InvalidSampleSize("need at least one sample")
     eid = REINFORCE_WR_BL if baseline else REINFORCE_WR
-    return _grad_estimate(eid, dist, X, f, len(X), seed=seed)
+    return _grad_estimate(eid, dist, X, f, len(X))
 
 
-def reinforce_sampled_baseline(
-    dist: CategoricalDist, X, X_baseline, f, *, seed: int | None = None
-) -> GradEstimate:
+def reinforce_sampled_baseline(dist: CategoricalDist, X, X_baseline, f) -> GradEstimate:
     """REINFORCE where each draw is centered by an independent paired draw;
     consumes 2k objective evaluations."""
-    X = _draw_indices(X, dist.n)
-    X_baseline = _draw_indices(X_baseline, dist.n)
+    X = _index_row(X, dist.n, sets=False)
+    X_baseline = _index_row(X_baseline, dist.n, sets=False)
     if len(X) != len(X_baseline):
         raise BaselineSizeMismatch(f"{len(X)} samples vs {len(X_baseline)} baseline samples")
     points = np.concatenate([X, X_baseline])
-    return _grad_estimate(REINFORCE_SAMPLED_BL, dist, points, f, len(X), seed=seed)
+    return _grad_estimate(REINFORCE_SAMPLED_BL, dist, points, f, len(X))
 
 
-def risk_grad(
-    dist: CategoricalDist, S, f, form: str = "direct", *, seed: int | None = None
-) -> GradEstimate:
+def risk_grad(dist: CategoricalDist, S, f, form: str = "direct") -> GradEstimate:
     """Biased gradient of the self-normalized objective sum over the sample.
 
     ``direct`` differentiates p(s) / sum_{s'} p(s') explicitly, including the
@@ -564,8 +548,8 @@ def risk_grad(
     eid = {"direct": RISK, "baseline": RISK_BL_FORM}.get(form)
     if eid is None:
         raise ValueError(f"form must be 'direct' or 'baseline', got {form!r}")
-    S = _index_set(S, dist.n)
-    return _grad_estimate(eid, dist, S, f, len(S), seed=seed)
+    S = _index_row(S, dist.n)
+    return _grad_estimate(eid, dist, S, f, len(S))
 
 
 def iwpg(
@@ -575,8 +559,6 @@ def iwpg(
     f,
     baseline: bool = True,
     normalized: bool = False,
-    *,
-    seed: int | None = None,
 ) -> GradEstimate:
     """Importance-weighted policy gradient from a Gumbel top-k sample and its
     threshold.
@@ -588,4 +570,4 @@ def iwpg(
     """
     elements, r = importance_weights(dist, S, kappa)
     eid = IW_PG_NORM if normalized else IW_PG_BL if baseline else IW_PG
-    return _grad_estimate(eid, dist, elements, f, len(elements), r, seed=seed)
+    return _grad_estimate(eid, dist, elements, f, len(elements), r)

@@ -24,9 +24,9 @@ import math
 import numpy as np
 
 from . import estimators as est
-from .distributions import CategoricalDist, Objective, as_objective, from_logits
+from .distributions import CategoricalDist, Objective, _index_row, as_objective, from_logits
 from .errors import DomainTooLarge, InvalidSampleSize, SpaceTooLarge
-from .setprob import _index_set, p_set_exact, p_set_integral
+from .setprob import p_set_exact, p_set_integral
 
 DOMAIN_CAP = 10**6
 SPACE_CAP = 10**6
@@ -275,7 +275,7 @@ def _set_prob_by_orderings(dist: CategoricalDist, S_idx) -> float:
 def conditional_iw_mean(dist: CategoricalDist, S, f) -> float:
     """Mean of the importance-weighted estimate over the threshold given S."""
     spec = est.ESTIMATORS[est.IMPORTANCE_WEIGHTED]
-    S_idx = _index_set(S, dist.n)
+    S_idx = _index_row(S, dist.n)
     obj = as_objective(f)
     if len(S_idx) == dist.n:
         return float(np.dot(np.exp(dist.log_probs[S_idx]), obj.values_at(S_idx)))

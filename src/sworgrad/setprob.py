@@ -54,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CategoricalDist, log_sum_exp
-from .errors import TooManyPermutations, TooManySubsets
+from .distributions import CategoricalDist, _index_row, _index_rows, log_sum_exp
+from .errors import InvalidIndices, TooManyPermutations, TooManySubsets
 
 NAIVE_MAX_K = 8
 EXACT_MAX_K = 20
@@ -91,58 +91,6 @@ class LooRatios:
     ratios: np.ndarray
     log_p_set: float
     second_order: np.ndarray | None = None
-
-
-def _sample_indices(sample) -> np.ndarray:
-    """The indices of a sample object (anything with ``.indices``) or of an
-    array-like, in their given order."""
-    return np.asarray(getattr(sample, "indices", sample), dtype=int).ravel()
-
-
-def _as_rows(sample):
-    """The indices of one sample as a 1 x k array, or of a batch of samples
-    (a 2-D array, one per row) as they are; and whether it was one sample."""
-    idx = np.asarray(getattr(sample, "indices", sample), dtype=int)
-    if idx.ndim == 2:
-        return idx, False
-    return idx.reshape(1, -1), True
-
-
-def _out_of_range(n: int) -> ValueError:
-    return ValueError(f"set elements out of range for domain of size {n}")
-
-
-def _not_contained() -> ValueError:
-    return ValueError("excluded set C must be contained in S")
-
-
-def _index_set(S, n: int) -> np.ndarray:
-    """The indices of S in increasing order; ValueError unless they are
-    distinct and inside range(n).  The check of one sampled set."""
-    return _index_rows(_sample_indices(S)[None], n)[0]
-
-
-def _index_rows(S: np.ndarray, n: int) -> np.ndarray:
-    """The rows of the 2-D array S each in increasing order, as one array;
-    ValueError unless every row is distinct and inside range(n).  The rows
-    are checked on Python ints: numpy's per-call cost dominates for a few
-    elements."""
-    rows = [sorted(row) for row in S.tolist()]
-    for idx in rows:
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"set elements must be distinct, got {idx}")
-        if idx and (idx[0] < 0 or idx[-1] >= n):
-            raise _out_of_range(n)
-    return np.array(rows, dtype=int).reshape(S.shape)
-
-
-def _draw_indices(X, n: int) -> np.ndarray:
-    """The indices of draws with replacement, in their given order;
-    ValueError unless each is inside range(n).  Repeats are allowed."""
-    idx = _sample_indices(X)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise _out_of_range(n)
-    return idx
 
 
 def _math_exp(x: np.ndarray) -> np.ndarray:
@@ -181,40 +129,31 @@ def _complement_masses(dist: CategoricalDist, C: np.ndarray) -> np.ndarray:
     return _math_exp(_complement_log_masses(dist, C))
 
 
-def _exclusion_rows(C, B: int) -> np.ndarray:
-    """An exclusion as a (B, c) array: C is empty, one set excluded from
-    every row, or already one set per row."""
-    C = np.asarray(getattr(C, "indices", C), dtype=int)
-    if C.ndim < 2:
-        C = C.reshape(1, -1)
-    if len(C) not in (1, B):
-        raise ValueError(f"exclude has {len(C)} rows for {B} sets")
-    return C if len(C) == B else C.repeat(B, axis=0)
-
-
 _BACKENDS = ("auto", "naive", "exact", "integral")
 
 
 def _split_sets(dist: CategoricalDist, S, C, backend: str, nodes: int):
-    """The argument checks every entry point shares.  S is a 2-D array of
-    sets, one per row, and C an exclusion as ``_exclusion_rows`` takes it.
-    Returns S and C as sorted rows and the free elements S \\ C of each row."""
+    """The argument checks every entry point shares.  S is one set or a
+    (B, k) array of sets, and C is empty, one set excluded from every row,
+    or a (B, c) array.  Returns S and C as sorted rows (C keeps one row when
+    it was one set, and broadcasts), the free elements S \\ C of each row,
+    and whether S was one set."""
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    S = _index_rows(S, dist.n)
-    C = _exclusion_rows(C, len(S))
+    S, single = _index_rows(S, dist.n)
+    C, _ = _index_rows(C, dist.n)
+    B = len(S)
+    if len(C) not in (1, B):
+        raise InvalidIndices(f"exclude has {len(C)} rows for {B} sets")
     rest = S
     if C.size:
-        C = _index_rows(C, dist.n)
-        rest = []
-        for row, excluded in zip(S.tolist(), map(set, C.tolist())):
-            if not excluded <= set(row):
-                raise _not_contained()
-            rest.append([s for s in row if s not in excluded])
-        rest = np.array(rest, dtype=int).reshape(len(S), -1)
+        hits = S[:, :, None] == C[:, None, :]
+        if not hits.any(axis=1).all():
+            raise InvalidIndices("excluded set C must be contained in S")
+        rest = S[~hits.any(axis=2)].reshape(B, -1)
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
-    return S, C, rest
+    return S, C, rest, single
 
 
 def _naive_restricted_logs(dist, S, rest, rel_excludes):
@@ -464,7 +403,7 @@ def _restricted_logs(dist, S, rest, rel_excludes, backend, nodes):
 def _p_set(dist: CategoricalDist, S, C, backend: str, nodes: int = DEFAULT_NODES) -> float:
     """log p^{D \\ C}(S \\ C): the one query of ``backend`` that excludes
     nothing more.  An empty S \\ C or a whole-domain S has probability 1."""
-    S, C, rest = _split_sets(dist, _sample_indices(S)[None], C, backend, nodes)
+    S, C, rest, _ = _split_sets(dist, _index_row(S, dist.n), C, backend, nodes)
     if not rest.shape[1] or S.shape[1] == dist.n:
         return 0.0
     return float(_restricted_logs(dist, S, rest, [()], backend, nodes)[0, 0])
@@ -520,8 +459,7 @@ def loo_ratios(
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    rows, single = _as_rows(S)
-    S, exclude, rest = _split_sets(dist, rows, exclude, backend, nodes)
+    S, exclude, rest, single = _split_sets(dist, S, exclude, backend, nodes)
     B, m = rest.shape
     if m < 1:
         raise ValueError("need at least one element outside the excluded set")
