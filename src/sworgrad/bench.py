@@ -10,9 +10,13 @@ d log p(x) / d eta = sum_i (x_i - sigmoid(eta)).
 
 A variance-sweep cell draws every replicate from its own stream
 ``Rng(seed, (r,))`` and evaluates the estimator on chunks of at most
-``_CHUNK_REPLICATES`` draws, one coefs call per chunk.  Each row of a coefs
-call is computed as it would be alone, so the outputs do not depend on the
-chunk size; ``toy_scalar_grad`` is the same computation on one draw.
+``_CHUNK_REPLICATES`` draws.  A chunk takes its replicates' uniforms from
+one ``sampling.spawn_uniforms`` call, draws its samples from them with one
+call of the estimator's law, and makes one coefs call.  Each row is
+computed as it would be alone, so the outputs do not depend on the chunk
+size; ``toy_scalar_grad`` is the same computation on one draw from a given
+stream.  ``optimize`` step t draws from ``Rng(seed, (t,))`` the same way,
+one ``spawn_uniforms`` call per ``_CHUNK_REPLICATES`` steps.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ import numpy as np
 from . import estimators as est
 from . import oracle
 from .distributions import CategoricalDist, Objective, from_logits, log_sum_exp
-from .sampling import Rng
+from .sampling import Rng, spawn_uniforms
 
 TARGETS = (0.6, 0.51, 0.48)
 NUM_BITS = 3
@@ -38,8 +42,9 @@ DIVERGENCE_BOUND = 50.0
 VARIANCE_CSV_VERSION = "# sworgrad-variance-v1"
 OPTIMIZE_CSV_VERSION = "# sworgrad-optimize-v1"
 
-# Replicates per coefs call in a sweep cell.  It bounds a cell's working
-# memory whatever its replication count; it changes no output.
+# Replicates per coefs call in a sweep cell, and optimize steps per stream
+# call.  It bounds a cell's working memory whatever its replication count;
+# it changes no output.
 _CHUNK_REPLICATES = 256
 
 
@@ -135,19 +140,23 @@ def toy_scalar_grad(kind: str, eta: float, k: int, rng: Rng) -> float:
     of E[g] for the score-weighted objective g(x) = (d log p(x)/d-eta) f(x),
     an unbiased score-function gradient.  ``exact`` runs the unordered-set
     weights over the full domain, so a full-domain sample reproduces it bit
-    for bit.  This is the one-draw call of ``_scalar_grads``.
+    for bit.  The draw takes the next ``_uniform_count(kind, k)`` doubles
+    of ``rng``; this is the one-draw call of ``_scalar_grads``.
     """
-    return float(_scalar_grads(kind, eta, k, [rng])[0])
+    u = rng.generator.random((1, _uniform_count(kind, k)))
+    return float(_scalar_grads(kind, eta, k, u)[0])
 
 
-def _scalar_grads(kind: str, eta: float, k: int, rngs) -> np.ndarray:
-    """The scalar gradient of one draw from each stream of ``rngs``: the draws
-    are stacked into one batch and go through one coefs call."""
+def _uniform_count(kind: str, k: int) -> int:
+    return est.estimator_spec(kind).law.uniforms(k, DOMAIN)
+
+
+def _scalar_grads(kind: str, eta: float, k: int, u: np.ndarray) -> np.ndarray:
+    """The scalar gradient of one draw from each row of the uniforms ``u``:
+    one law call draws the batch and one coefs call weighs it."""
     spec = est.estimator_spec(kind)
     toy = make_toy(eta)
-    draws = [spec.law.draw(rng, toy.flat, k) for rng in rngs]
-    points = np.array([p for p, _ in draws])
-    r = None if draws[0][1] is None else np.array([w for _, w in draws])
+    points, r = spec.law.draw(u, toy.flat, k)
     elements, coefs = spec.coefs(toy.flat, points, toy.f_values[points], r)
     return est._rowdot(coefs, toy.centered_jacobian[elements])
 
@@ -234,7 +243,8 @@ def _replicate(kind, eta, k, seed, replications) -> np.ndarray:
     vals = np.empty(max(replications, 0))
     for start in range(0, replications, _CHUNK_REPLICATES):
         stop = min(start + _CHUNK_REPLICATES, replications)
-        vals[start:stop] = _scalar_grads(kind, eta, k, (Rng(seed, (r,)) for r in range(start, stop)))
+        u = spawn_uniforms(seed, np.arange(start, stop), _uniform_count(kind, k))
+        vals[start:stop] = _scalar_grads(kind, eta, k, u)
     return vals
 
 
@@ -310,8 +320,10 @@ def optimize(config: dict) -> OptRun:
     """Plain gradient descent on eta with a chosen gradient estimator.
 
     Config keys: ``estimator``, ``k``, ``eta0``, ``step_size``, ``steps``,
-    ``seed``.  Runs whose parameter leaves [-DIVERGENCE_BOUND,
-    DIVERGENCE_BOUND] are flagged and truncated.
+    ``seed``.  Step t is ``toy_scalar_grad`` on the stream ``Rng(seed,
+    (t,))``; the uniforms of ``_CHUNK_REPLICATES`` steps come from one
+    ``spawn_uniforms`` call.  Runs whose parameter leaves
+    [-DIVERGENCE_BOUND, DIVERGENCE_BOUND] are flagged and truncated.
     """
     kind = config["estimator"]
     k = int(config.get("k", 1))
@@ -323,7 +335,11 @@ def optimize(config: dict) -> OptRun:
     trajectory = [(0, eta, exact_loss(eta))]
     diverged = False
     for t in range(steps):
-        grad = toy_scalar_grad(kind, eta, k, Rng(seed, (t,)))
+        row = t % _CHUNK_REPLICATES
+        if row == 0:
+            stop = min(t + _CHUNK_REPLICATES, steps)
+            u = spawn_uniforms(seed, np.arange(t, stop), _uniform_count(kind, k))
+        grad = float(_scalar_grads(kind, eta, k, u[row:row + 1])[0])
         eta = eta - lr * grad
         if abs(eta) > DIVERGENCE_BOUND:
             diverged = True

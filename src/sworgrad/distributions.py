@@ -247,6 +247,9 @@ class FactorizedDist:
         return lg - log_sum_exp(lg)
 
     def index_to_assignment(self, idx: int) -> tuple:
+        """The per-dimension assignment of joint index ``idx``; raises
+        InvalidIndices unless 0 <= idx < domain_size."""
+        (idx,) = _index_row(int(idx), self.domain_size, sets=False).tolist()
         out = []
         for size in reversed(self.dim_sizes):
             out.append(idx % size)
@@ -254,9 +257,19 @@ class FactorizedDist:
         return tuple(reversed(out))
 
     def assignment_to_index(self, assignment: Sequence[int]) -> int:
+        """The joint index of a per-dimension assignment; raises
+        InvalidIndices unless it has one entry per dimension, each in range
+        of its dimension."""
+        values = [int(a) for a in assignment]
+        if len(values) != self.num_dims or not all(
+            0 <= a < size for a, size in zip(values, self.dim_sizes)
+        ):
+            raise InvalidIndices(
+                f"assignment {values} does not fit dimension sizes {self.dim_sizes}"
+            )
         idx = 0
-        for a, size in zip(assignment, self.dim_sizes):
-            idx = idx * size + int(a)
+        for a, size in zip(values, self.dim_sizes):
+            idx = idx * size + a
         return idx
 
     def flatten(self, cap: int = FLATTEN_CAP) -> CategoricalDist:
@@ -319,6 +332,9 @@ class Objective:
         return self._grad_table is not None or self._grad_fn is not None
 
     def value(self, x: int) -> float:
+        """f(x), unchecked: a table is indexed with plain numpy indexing (a
+        negative x counts from the end), since the estimators call this with
+        points ``_index_rows`` has already checked."""
         if self._table is not None:
             return float(self._table[x])
         x = int(x)
@@ -327,13 +343,15 @@ class Objective:
         return self._cache[x]
 
     def values_at(self, idx) -> np.ndarray:
-        """f at each index of ``idx`` (flattened), as a float array."""
+        """f at each index of ``idx`` (flattened), as a float array;
+        unchecked like ``value``."""
         idx = np.asarray(idx, dtype=int).ravel()
         if self._table is not None:
             return self._table[idx]
         return np.array([self.value(i) for i in idx.tolist()], dtype=float)
 
     def param_grad_at(self, x: int) -> np.ndarray:
+        """The parameter gradient of f at x; unchecked like ``value``."""
         if self._grad_table is not None:
             return np.asarray(self._grad_table[x], dtype=float)
         if self._grad_fn is None:

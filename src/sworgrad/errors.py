@@ -14,6 +14,11 @@ class InvalidIndices(SworgradError, ValueError):
     fit the sample they exclude from."""
 
 
+class InvalidStreamKey(SworgradError, ValueError):
+    """A seed or stream key is negative, or a key does not fit one 32-bit
+    word of the batched stream path."""
+
+
 class InvalidRestriction(SworgradError):
     """The queried element lies inside the excluded set."""
 

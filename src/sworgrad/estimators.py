@@ -39,7 +39,14 @@ from .errors import (
     NoParameterization,
     NoPathwiseGradient,
 )
-from .sampling import OrderedSample, Rng, Threshold, gumbel_top_k, sample_with_replacement
+from .sampling import (
+    OrderedSample,
+    Rng,
+    Threshold,
+    _check_draw_count,
+    _gumbel_top_k_rows,
+    _inverse_cdf,
+)
 from .setprob import _complement_masses, loo_ratios
 
 EXACT = "exact"
@@ -167,11 +174,16 @@ def det_sum_and_sample_split(dist: CategoricalDist, k: int) -> np.ndarray:
 def inclusion_probs(dist: CategoricalDist, elements, kappa) -> np.ndarray:
     """q(s, kappa) = P(perturbed log-prob of s exceeds kappa); ones for the
     full-domain sentinel.  Computed as -expm1(-exp(log p(s) - kappa))."""
-    elements = _index_row(elements, dist.n, sets=False)
-    kv = _kappa_of(kappa)
-    if kv is None:
-        return np.ones(len(elements))
-    t = np.minimum(dist.log_probs[elements] - kv, 700.0)
+    return _inclusion(dist, _index_row(elements, dist.n, sets=False), _kappa_of(kappa))
+
+
+def _inclusion(dist: CategoricalDist, elements: np.ndarray, kappa) -> np.ndarray:
+    """``inclusion_probs`` of the checked ``elements``: ``kappa`` is None
+    (the full-domain sentinel), a float, or a (B, 1) column against a (B, k)
+    batch of elements."""
+    if kappa is None:
+        return np.ones(elements.shape)
+    t = np.minimum(dist.log_probs[elements] - kappa, 700.0)
     q = -np.expm1(-np.exp(t))
     if np.any(q <= 0.0):
         raise InconsistentThreshold("threshold leaves an element with zero inclusion probability")
@@ -198,8 +210,9 @@ def importance_weights(dist: CategoricalDist, S, kappa):
 
 
 def _priority_weights(dist: CategoricalDist, elements: np.ndarray, kappa) -> np.ndarray:
-    """p(s) / q(s, kappa) for each of the checked ``elements``."""
-    return np.exp(dist.log_probs[elements]) / inclusion_probs(dist, elements, kappa)
+    """p(s) / q(s, kappa) for each of the checked ``elements``, with
+    ``kappa`` as for ``_inclusion``."""
+    return np.exp(dist.log_probs[elements]) / _inclusion(dist, elements, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -299,69 +312,69 @@ def _risk_baseline_coefs(dist, S, fv, r=None):
 # ---------------------------------------------------------------------------
 # sampling laws
 #
-# ``draw(rng, dist, k)`` returns one sample's ``(points, r)``, one row of what
-# the coefs functions take; ``evals(k, n)`` is the number of points.  The
-# Gumbel laws take the sampler's array path, which draws the same uniforms as
-# its one-sample form.
+# A law draws a batch of samples from uniforms: ``uniforms(k, n)`` is the
+# fixed number of uniforms on [0, 1) that one sample takes, and
+# ``draw(u, dist, k)`` maps a (B, uniforms) array, one row per sample, to the
+# ``(points, r)`` the coefs functions take.  ``evals(k, n)`` is the number
+# of points.  A row's draw is the sampler's draw from a stream whose next
+# doubles are that row: the Gumbel laws are ``gumbel_top_k`` and the
+# categorical laws ``sample_with_replacement``.
 
 
 class Law(NamedTuple):
     draw: Callable
     evals: Callable
+    uniforms: Callable
 
 
-def _draw_set(rng, dist, k):
-    top, _, _ = gumbel_top_k(rng, dist, k, size=1)
-    return np.sort(top[0]), None
+def _draw_set(u, dist, k):
+    top, _, _ = _gumbel_top_k_rows(u, dist, k)
+    return np.sort(top, axis=1), None
 
 
-def _draw_ordered(rng, dist, k):
-    top, _, _ = gumbel_top_k(rng, dist, k, size=1)
-    return top[0], None
+def _draw_ordered(u, dist, k):
+    top, _, _ = _gumbel_top_k_rows(u, dist, k)
+    return top, None
 
 
-def _draw_threshold(rng, dist, k):
-    """The set and its priority weights; at k = n there is no threshold and
-    every inclusion probability is 1."""
-    top, _, kappa = gumbel_top_k(rng, dist, k, size=1)
-    S = np.sort(top[0])
-    return S, _priority_weights(dist, S, None if k == dist.n else float(kappa[0]))
+def _draw_threshold(u, dist, k):
+    """The sets and their priority weights; at k = n there is no threshold
+    and every inclusion probability is 1."""
+    top, _, kappa = _gumbel_top_k_rows(u, dist, k)
+    S = np.sort(top, axis=1)
+    return S, _priority_weights(dist, S, None if k == dist.n else kappa[:, None])
 
 
-def _draw_with_replacement(rng, dist, k):
-    return sample_with_replacement(rng, dist, k), None
+def _draw_with_replacement(u, dist, k):
+    """k draws per row; the paired law's rows hold its k draws and then
+    their k baseline draws."""
+    _check_draw_count(k)
+    return _inverse_cdf(dist.probs, u), None
 
 
-def _draw_paired(rng, dist, k):
-    X = sample_with_replacement(rng, dist, k)
-    return np.concatenate([X, sample_with_replacement(rng, dist, k)]), None
-
-
-def _draw_det_split(rng, dist, k):
+def _draw_det_split(u, dist, k):
     C = det_sum_and_sample_split(dist, k)
     weights = dist.probs.copy()
     weights[C] = 0.0
-    cdf = np.cumsum(weights)
-    x = np.searchsorted(cdf, rng.generator.random() * cdf[-1], side="right").clip(0, dist.n - 1)
-    return np.append(C, x), None
+    return np.concatenate([np.tile(C, (len(u), 1)), _inverse_cdf(weights, u)], axis=1), None
 
 
-def _draw_single(rng, dist, k):
-    return sample_with_replacement(rng, dist, 1), None
+def _draw_single(u, dist, k):
+    return _inverse_cdf(dist.probs, u), None
 
 
-def _draw_full(rng, dist, k):
-    return np.arange(dist.n), None
+def _draw_full(u, dist, k):
+    return np.tile(np.arange(dist.n), (len(u), 1)), None
 
 
-SET = Law(_draw_set, lambda k, n: k)
-ORDERED = Law(_draw_ordered, lambda k, n: k)
-THRESHOLD = Law(_draw_threshold, lambda k, n: k)
-WITH_REPLACEMENT = Law(_draw_with_replacement, lambda k, n: k)
-PAIRED = Law(_draw_paired, lambda k, n: 2 * k)
-DET_SPLIT = Law(_draw_det_split, lambda k, n: k)
-SINGLE = Law(_draw_single, lambda k, n: 1)
-FULL = Law(_draw_full, lambda k, n: n)
+SET = Law(_draw_set, lambda k, n: k, lambda k, n: n)
+ORDERED = Law(_draw_ordered, lambda k, n: k, lambda k, n: n)
+THRESHOLD = Law(_draw_threshold, lambda k, n: k, lambda k, n: n)
+WITH_REPLACEMENT = Law(_draw_with_replacement, lambda k, n: k, lambda k, n: max(k, 0))
+PAIRED = Law(_draw_with_replacement, lambda k, n: 2 * k, lambda k, n: max(2 * k, 0))
+DET_SPLIT = Law(_draw_det_split, lambda k, n: k, lambda k, n: 1)
+SINGLE = Law(_draw_single, lambda k, n: 1, lambda k, n: 1)
+FULL = Law(_draw_full, lambda k, n: n, lambda k, n: 0)
 
 # Output kinds: a value estimate of E[f], a logit gradient, or a logit
 # gradient plus the pathwise term of an objective that depends on the logits.
@@ -463,8 +476,8 @@ def det_sum_and_sample(dist: CategoricalDist, f, k: int, rng: Rng) -> float:
     """Sum the top k-1 categories by probability exactly and draw one sample
     from the renormalized remainder."""
     spec = ESTIMATORS[DET_SUM_AND_SAMPLE]
-    points, _ = spec.law.draw(rng, dist, k)
-    return _estimate_one(spec, dist, points, as_objective(f))
+    points, _ = spec.law.draw(rng.generator.random((1, spec.law.uniforms(k, dist.n))), dist, k)
+    return _estimate_one(spec, dist, points[0], as_objective(f))
 
 
 def importance_weighted(dist: CategoricalDist, S, kappa, f) -> float:

@@ -4,15 +4,23 @@ a stochastic beam search over factorized distributions.
 Every sampler accepts an optional ``size``; when given, index arrays of shape
 ``(size, k)`` (plus threshold arrays where applicable) are returned instead of
 single-sample dataclasses, sharing the same code path.
+
+``gumbel_top_k`` and ``sample_with_replacement`` draw uniforms from their
+``Rng`` and map them to samples with row transforms (``_gumbel_top_k_rows``
+and ``_inverse_cdf``); the estimators' sampling laws apply the same
+transforms to arrays of uniforms.  ``spawn_uniforms`` computes such an array
+for many child streams ``Rng(seed, (key,))`` at once, every key below 2^32,
+with the same bits as one generator per stream.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import CategoricalDist, FactorizedDist
-from .errors import InvalidSampleSize
+from .errors import InvalidSampleSize, InvalidStreamKey
 
 _U_FLOOR = np.nextafter(0.0, 1.0)
 
@@ -89,7 +97,9 @@ class Rng:
     yields an independent child stream, so parallel replications seeded as
     ``Rng(seed).split(replicate)`` are reproducible regardless of scheduling.
     ``Rng(seed, (replicate,))`` is the same child stream, built without the
-    parent's generator.
+    parent's generator.  It is numpy's PCG64 seeded by
+    ``SeedSequence(seed, spawn_key=spawn_key)``; ``spawn_uniforms`` computes
+    the leading doubles of many one-key child streams at once, bit for bit.
     """
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
@@ -114,16 +124,190 @@ class Rng:
         return f"Rng(seed={self.seed}, spawn_key={self.spawn_key})"
 
 
+# ---------------------------------------------------------------------------
+# batched child streams
+#
+# ``spawn_uniforms`` repeats numpy's seeding arithmetic on arrays: the
+# SeedSequence entropy pool and its ``generate_state(4, uint64)``, PCG64's
+# seeding, and its XSL-RR output.  The constants are numpy's
+# (``numpy/random/bit_generator.pyx`` and ``pcg64.h``).
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _int_words(value: int) -> list:
+    """SeedSequence's uint32 words of a non-negative int, least significant
+    first; 0 is one word."""
+    words = [value & _M32]
+    value >>= 32
+    while value:
+        words.append(value & _M32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value, h: int):
+    """SeedSequence's ``hashmix``: the mixed word and the next hash constant.
+    ``value`` is an int or a uint32 array."""
+    h_next = (h * _MULT_A) & _M32
+    value = (value ^ h) * h_next & _M32
+    return value ^ (value >> 16), h_next
+
+
+def _mix(x: int, y):
+    """SeedSequence's ``mix`` of pool word ``x`` (an int) with ``y``."""
+    value = ((_MIX_MULT_L * x) & _M32) - _MIX_MULT_R * y & _M32
+    return value ^ (value >> 16)
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint64)[:, None]
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple:
+    """What a key's stream needs of the seed, as (4, 1) uint64 columns.
+
+    The pool of ``SeedSequence(seed, spawn_key=(key,))`` is computed before
+    its last entropy word, the key, is mixed in; a spawn key pads the
+    seed's words to the pool size.  Returns ``MIX_MULT_L * pool`` and the
+    hash constants before and after each of the key's four ``hashmix``
+    calls, the key's part of ``mix`` and ``hashmix``."""
+    words = _int_words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    h = _INIT_A
+    pool = []
+    for w in words[:_POOL_SIZE]:
+        mixed, h = _hashmix(w, h)
+        pool.append(mixed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], mixed)
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            mixed, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], mixed)
+    before, after = [], []
+    for _ in range(_POOL_SIZE):
+        before.append(h)
+        h = (h * _MULT_A) & _M32
+        after.append(h)
+    return (_column([(_MIX_MULT_L * x) & _M32 for x in pool]),
+            _column(before), _column(after))
+
+
+def _state_constants() -> tuple:
+    """Hash constants before and after each word of ``generate_state(4,
+    uint64)``: eight 32-bit words drawn cyclically from the pool."""
+    before, after = [], []
+    h = _INIT_B
+    for _ in range(2 * _POOL_SIZE):
+        before.append(h)
+        h = (h * _MULT_B) & _M32
+        after.append(h)
+    return _column(before), _column(after)
+
+
+_STATE_BEFORE, _STATE_AFTER = _state_constants()
+
+
+def _mul64(a, b):
+    """(high, low) 64-bit words of the product of uint64 arrays a and b."""
+    a_lo, a_hi = a & _M32, a >> 32
+    b_lo, b_hi = b & _M32, b >> 32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> 32) + (lh & _M32) + (hl & _M32)
+    return a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), (mid << 32) | (ll & _M32)
+
+
+@functools.lru_cache(maxsize=16)
+def _jump_constants(count: int) -> tuple:
+    """(high, low) uint64 limbs, shape (2, 1, count), of A_j and G_j for
+    j < count: the PCG64 state that yields output j of a stream seeded with
+    state word s and increment c is A_j s + G_j c (mod 2^128).  Seeding
+    leaves M(s + c) + c and every output steps once first, so A_j = M^(j+2)
+    and G_j = M^0 + ... + M^(j+2)."""
+    a, g = [], []
+    power, total = _PCG_MULT * _PCG_MULT & _M128, 1 + _PCG_MULT
+    for _ in range(count):
+        total = (total + power) & _M128
+        a.append(power)
+        g.append(total)
+        power = power * _PCG_MULT & _M128
+    return (np.array([[[v >> 64 for v in a]], [[v >> 64 for v in g]]], dtype=np.uint64),
+            np.array([[[v & _M64 for v in a]], [[v & _M64 for v in g]]], dtype=np.uint64))
+
+
+def spawn_uniforms(seed: int, keys, count: int) -> np.ndarray:
+    """The first ``count`` doubles of each child stream ``Rng(seed, (key,))``.
+
+    Row i of the (len(keys), count) result equals
+    ``Rng(seed, (keys[i],)).generator.random(count)`` bit for bit, computed
+    for all rows as numpy arrays with no generator built.  Each key must be
+    one SeedSequence word, 0 <= key < 2^32, and the seed non-negative;
+    anything else raises ``InvalidStreamKey``.
+    """
+    seed, count = int(seed), int(count)
+    keys = np.asarray(keys)
+    if keys.ndim != 1 or (keys.size and keys.dtype.kind not in "iu"):
+        raise InvalidStreamKey(f"stream keys must be a 1-D integer array, got {keys!r}")
+    if seed < 0 or (keys.size and (keys.min() < 0 or keys.max() > _M32)):
+        raise InvalidStreamKey("the seed and every stream key must be non-negative "
+                               "and each key below 2^32")
+    if count < 0:
+        raise InvalidStreamKey(f"count={count} must be non-negative")
+    # The key, the last entropy word, is mixed into each pool word: row d of
+    # these (4, B) arrays is pool word d.
+    mixed_l, before, after = _seed_pool(seed)
+    value = (keys.astype(np.uint64) ^ before) * after & _M32
+    value ^= value >> 16
+    pool = (mixed_l - _MIX_MULT_R * value) & _M32
+    pool ^= pool >> 16
+    # generate_state(4, uint64): eight hashed words, paired little-endian.
+    value = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_BEFORE) * _STATE_AFTER & _M32
+    value ^= value >> 16
+    state = value[0::2] | (value[1::2] << 32)
+    # PCG64 takes state word s = (state[0], state[1]) and increment
+    # c = 2 (state[2], state[3]) + 1; both products share one (2, B, count)
+    # array.
+    y_hi = np.stack([state[0], (state[2] << 1) | (state[3] >> 63)])[:, :, None]
+    y_lo = np.stack([state[1], (state[3] << 1) | 1])[:, :, None]
+    x_hi, x_lo = _jump_constants(count)
+    hi, lo = _mul64(x_lo, y_lo)
+    hi += x_hi * y_lo + x_lo * y_hi
+    lo_sum = lo[0] + lo[1]
+    hi = hi[0] + hi[1] + (lo_sum < lo[0])
+    # XSL-RR output, then numpy's double (x >> 11) * 2^-53.
+    x = hi ^ lo_sum
+    rot = hi >> 58
+    x = (x >> rot) | (x << ((64 - rot) & 63))
+    return (x >> 11).astype(float) * (1.0 / 9007199254740992.0)
+
+
 def _check_k(k: int, n: int):
     if not 1 <= k <= n:
         raise InvalidSampleSize(f"k={k} outside [1, {n}]")
 
 
+def _gumbel(u: np.ndarray) -> np.ndarray:
+    """Standard Gumbel noise -log(-log(u)) from uniforms on [0, 1), each
+    floored to the open interval as ``Rng.uniform_open`` does."""
+    return -np.log(-np.log(np.maximum(u, _U_FLOOR)))
+
+
 def gumbel_perturb(rng: Rng, dist: CategoricalDist, size: int | None = None) -> np.ndarray:
     """Perturbed log-probabilities: log p(i) plus i.i.d. standard Gumbel noise."""
     m = 1 if size is None else size
-    u = rng.uniform_open((m, dist.n))
-    g = dist.log_probs + (-np.log(-np.log(u)))
+    g = dist.log_probs + _gumbel(rng.generator.random((m, dist.n)))
     return g[0] if size is None else g
 
 
@@ -141,6 +325,14 @@ def _top_k_of(perturbed: np.ndarray, k: int):
     return top, top_vals, kappa
 
 
+def _gumbel_top_k_rows(u: np.ndarray, dist: CategoricalDist, k: int):
+    """Gumbel top-k of each row of a (B, n) array of uniforms on [0, 1):
+    the batched triple ``(indices, perturbed_values, kappas)`` of
+    ``gumbel_top_k``, which draws its uniforms and calls this."""
+    _check_k(k, dist.n)
+    return _top_k_of(dist.log_probs + _gumbel(u), k)
+
+
 def gumbel_top_k(rng: Rng, dist: CategoricalDist, k: int, size: int | None = None):
     """Ordered sample without replacement via the Gumbel top-k trick.
 
@@ -148,9 +340,8 @@ def gumbel_top_k(rng: Rng, dist: CategoricalDist, k: int, size: int | None = Non
     ``(indices, perturbed_values, kappas)`` with ``kappas`` NaN when k = n.
     """
     _check_k(k, dist.n)
-    g = gumbel_perturb(rng, dist, size=size if size is not None else 1)
-    g = np.atleast_2d(g)
-    top, vals, kappa = _top_k_of(g, k)
+    m = 1 if size is None else size
+    top, vals, kappa = _gumbel_top_k_rows(rng.generator.random((m, dist.n)), dist, k)
     if size is not None:
         return top, vals, kappa
     threshold = Threshold(None) if k == dist.n else Threshold(float(kappa[0]))
@@ -207,7 +398,7 @@ def stochastic_beam_search(rng: Rng, fd: FactorizedDist, k: int, size: int | Non
 
     # Root: total log-probability 0, perturbed value a standard Gumbel draw.
     logp = np.zeros((m, 1))
-    gum = -np.log(-np.log(rng.uniform_open((m, 1))))
+    gum = _gumbel(rng.generator.random((m, 1)))
     joint = np.zeros((m, 1), dtype=np.int64)
 
     for d in range(fd.num_dims):
@@ -215,7 +406,7 @@ def stochastic_beam_search(rng: Rng, fd: FactorizedDist, k: int, size: int | Non
         c = len(lp_dim)
         w = logp.shape[1]
         cand_logp = logp[:, :, None] + lp_dim[None, None, :]
-        noise = -np.log(-np.log(rng.uniform_open((m, w, c))))
+        noise = _gumbel(rng.generator.random((m, w, c)))
         g = cand_logp + noise
         g_cond = _conditioned_gumbels(gum, g)
 
@@ -242,10 +433,19 @@ def stochastic_beam_search(rng: Rng, fd: FactorizedDist, k: int, size: int | Non
     return OrderedSample(idx[0], vals[0]), threshold
 
 
-def sample_with_replacement(rng: Rng, dist: CategoricalDist, k: int) -> np.ndarray:
-    """k i.i.d. draws from the categorical (indices, duplicates possible)."""
+def _check_draw_count(k: int):
     if k < 1:
         raise InvalidSampleSize(f"k={k} must be positive")
-    u = rng.generator.random(k)
-    cdf = np.cumsum(dist.probs)
-    return np.searchsorted(cdf, u * cdf[-1], side="right").clip(0, dist.n - 1)
+
+
+def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The index each uniform of ``u`` (any shape) selects from the
+    unnormalized ``weights``: the first cdf entry above u * total."""
+    cdf = np.cumsum(weights)
+    return np.searchsorted(cdf, u * cdf[-1], side="right").clip(0, len(weights) - 1)
+
+
+def sample_with_replacement(rng: Rng, dist: CategoricalDist, k: int) -> np.ndarray:
+    """k i.i.d. draws from the categorical (indices, duplicates possible)."""
+    _check_draw_count(k)
+    return _inverse_cdf(dist.probs, rng.generator.random(k))

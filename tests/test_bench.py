@@ -297,6 +297,22 @@ class TestOptimize:
         assert not run.diverged
         assert run.final_loss - bench.loss_lower_bound() < 1e-6
 
+    @pytest.mark.parametrize("kind", SWEEP_IDS)
+    def test_run_is_the_per_step_stream_loop_bitwise(self, kind, monkeypatch):
+        """Step t of a run is toy_scalar_grad on the stream Rng(seed, (t,)),
+        bit for bit, with the steps' uniforms computed in chunks."""
+        config = {"estimator": kind, "k": 3, "eta0": -1.0, "step_size": 0.5,
+                  "steps": 20, "seed": 9}
+        eta, want = config["eta0"], [config["eta0"]]
+        for t in range(config["steps"]):
+            eta -= config["step_size"] * bench.toy_scalar_grad(kind, eta, 3, Rng(9, (t,)))
+            want.append(eta)
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(bench, "_CHUNK_REPLICATES", chunk)
+            run = bench.optimize(config)
+            assert not run.diverged
+            assert run.etas.tolist() == want, (kind, chunk)
+
     def test_full_domain_run_matches_exact_bitwise(self):
         base = {"k": 8, "eta0": 0.0, "step_size": 0.1, "steps": 100, "seed": 0}
         r_exact = bench.optimize({**base, "estimator": "exact"})

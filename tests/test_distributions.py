@@ -16,6 +16,7 @@ from sworgrad import (
 from sworgrad.errors import (
     DegenerateRestriction,
     DomainTooLarge,
+    InvalidIndices,
     InvalidLogits,
     InvalidRestriction,
     NoParameterization,
@@ -179,6 +180,15 @@ class TestFactorizedDist:
         assert fd.assignment_to_index((1, 0)) == 3
         assert fd.assignment_to_index((0, 2)) == 2
         assert fd.index_to_assignment(5) == (1, 2)
+
+    def test_out_of_range_index_and_assignment_raise(self):
+        fd = FactorizedDist((np.zeros(2), np.zeros(3)))
+        for idx in (6, 7, -1, -6):
+            with pytest.raises(InvalidIndices):
+                fd.index_to_assignment(idx)
+        for assignment in ((5, 0), (2, 0), (0, 3), (-1, 0), (0, -1), (1,), (1, 0, 0), ()):
+            with pytest.raises(InvalidIndices):
+                fd.assignment_to_index(assignment)
 
     def test_flatten_cap(self):
         fd = FactorizedDist(tuple(np.zeros(10) for _ in range(7)))

@@ -8,8 +8,9 @@ from scipy.stats import chi2_contingency, chisquare
 
 import sworgrad as sg
 from sworgrad import Rng, gumbel_perturb, gumbel_top_k, sequential_swor, stochastic_beam_search
-from sworgrad.errors import InvalidSampleSize
+from sworgrad.errors import InvalidSampleSize, InvalidStreamKey, SworgradError
 from sworgrad.oracle import enumerate_ordered
+from sworgrad.sampling import spawn_uniforms
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -45,6 +46,45 @@ class TestRng:
         u = Rng(0).uniform_open(10**6)
         assert np.all(u > 0.0)
         assert np.all(u < 1.0)
+
+
+class TestSpawnUniforms:
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7)
+    KEYS = (0, 1, 3, 255, 256, 70000, 2**31, 2**32 - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_are_numpys_child_streams_bitwise(self, seed):
+        for count in (0, 1, 3, 8, 23):
+            got = spawn_uniforms(seed, self.KEYS, count)
+            assert got.shape == (len(self.KEYS), count)
+            for row, key in zip(got, self.KEYS):
+                seq = np.random.SeedSequence(seed, spawn_key=(key,))
+                want = np.random.Generator(np.random.PCG64(seq)).random(count)
+                assert row.tolist() == want.tolist(), (seed, key, count)
+                assert row.tolist() == Rng(seed, (key,)).generator.random(count).tolist()
+
+    def test_keys_in_any_order_and_no_keys(self):
+        keys = np.array([5, 0, 5, 2**32 - 1], dtype=np.uint32)
+        np.testing.assert_array_equal(
+            spawn_uniforms(3, keys, 4), spawn_uniforms(3, keys.astype(np.int64), 4))
+        assert spawn_uniforms(3, keys, 4)[0].tolist() == spawn_uniforms(3, [5], 4)[0].tolist()
+        assert spawn_uniforms(3, [], 4).shape == (0, 4)
+
+    def test_keys_it_cannot_compute_raise_typed_errors(self):
+        """A key of two SeedSequence words has a valid Rng stream but no
+        batched one; negative seeds and keys are refused as Rng refuses
+        them.  Each raises rather than returning a wrong stream."""
+        Rng(0, (2**32,)).generator.random(1)
+        for seed, keys, count in ((0, [2**32], 2), (0, [1, 2**40], 2), (0, [3, -1], 2),
+                                  (-1, [0], 2), (0, [0], -1), (0, [[0, 1]], 2),
+                                  (0, [0.5], 2)):
+            with pytest.raises(InvalidStreamKey) as info:
+                spawn_uniforms(seed, keys, count)
+            assert isinstance(info.value, SworgradError)
+            assert isinstance(info.value, ValueError)
+        for seed, key in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                Rng(seed, (key,))
 
 
 class TestGumbelPerturb:
