@@ -167,8 +167,15 @@ def _mix(x: int, y):
     return value ^ (value >> 16)
 
 
+def _frozen_words(values) -> np.ndarray:
+    """A read-only uint64 array: the cached constants are shared by calls."""
+    a = np.array(values, dtype=np.uint64)
+    a.setflags(write=False)
+    return a
+
+
 def _column(values) -> np.ndarray:
-    return np.array(values, dtype=np.uint64)[:, None]
+    return _frozen_words(values)[:, None]
 
 
 @functools.lru_cache(maxsize=64)
@@ -243,8 +250,8 @@ def _jump_constants(count: int) -> tuple:
         a.append(power)
         g.append(total)
         power = power * _PCG_MULT & _M128
-    return (np.array([[[v >> 64 for v in a]], [[v >> 64 for v in g]]], dtype=np.uint64),
-            np.array([[[v & _M64 for v in a]], [[v & _M64 for v in g]]], dtype=np.uint64))
+    return (_frozen_words([[[v >> 64 for v in a]], [[v >> 64 for v in g]]]),
+            _frozen_words([[[v & _M64 for v in a]], [[v & _M64 for v in g]]]))
 
 
 def spawn_uniforms(seed: int, keys, count: int) -> np.ndarray:
@@ -339,7 +346,6 @@ def gumbel_top_k(rng: Rng, dist: CategoricalDist, k: int, size: int | None = Non
     Returns ``(OrderedSample, Threshold)``, or for batched calls the triple
     ``(indices, perturbed_values, kappas)`` with ``kappas`` NaN when k = n.
     """
-    _check_k(k, dist.n)
     m = 1 if size is None else size
     top, vals, kappa = _gumbel_top_k_rows(rng.generator.random((m, dist.n)), dist, k)
     if size is not None:
