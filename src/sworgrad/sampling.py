@@ -153,40 +153,43 @@ def _int_words(value: int) -> list:
     return words
 
 
-def _hashmix(value, h: int):
-    """SeedSequence's ``hashmix``: the mixed word and the next hash constant.
-    ``value`` is an int or a uint32 array."""
-    h_next = (h * _MULT_A) & _M32
+def _hashmix(value, h, mult: int = _MULT_A):
+    """SeedSequence's hash of a 32-bit word: the hashed word and the next
+    hash constant.  ``value`` and ``h`` are ints or uint64 arrays of 32-bit
+    words; ``generate_state`` hashes with ``_MULT_B``."""
+    h_next = h * mult & _M32
     value = (value ^ h) * h_next & _M32
     return value ^ (value >> 16), h_next
 
 
-def _mix(x: int, y):
-    """SeedSequence's ``mix`` of pool word ``x`` (an int) with ``y``."""
-    value = ((_MIX_MULT_L * x) & _M32) - _MIX_MULT_R * y & _M32
+def _mix(x, y):
+    """SeedSequence's ``mix`` of pool word ``x`` with the hashed word ``y``."""
+    value = (_MIX_MULT_L * x & _M32) - _MIX_MULT_R * y & _M32
     return value ^ (value >> 16)
 
 
+def _hash_constants(h: int, mult: int, count: int) -> np.ndarray:
+    """The constant before each of ``count`` successive hashes, as a
+    read-only (count, 1) column: cached constants are shared by calls."""
+    out = []
+    for _ in range(count):
+        out.append(h)
+        h = h * mult & _M32
+    return _frozen_words(out)[:, None]
+
+
 def _frozen_words(values) -> np.ndarray:
-    """A read-only uint64 array: the cached constants are shared by calls."""
     a = np.array(values, dtype=np.uint64)
     a.setflags(write=False)
     return a
 
 
-def _column(values) -> np.ndarray:
-    return _frozen_words(values)[:, None]
-
-
 @functools.lru_cache(maxsize=64)
 def _seed_pool(seed: int) -> tuple:
-    """What a key's stream needs of the seed, as (4, 1) uint64 columns.
-
-    The pool of ``SeedSequence(seed, spawn_key=(key,))`` is computed before
-    its last entropy word, the key, is mixed in; a spawn key pads the
-    seed's words to the pool size.  Returns ``MIX_MULT_L * pool`` and the
-    hash constants before and after each of the key's four ``hashmix``
-    calls, the key's part of ``mix`` and ``hashmix``."""
+    """The entropy pool of ``SeedSequence(seed, spawn_key=(key,))`` before
+    its last word, the key, is mixed in, and the hash constants of the
+    key's four ``hashmix`` calls, as (4, 1) columns.  A spawn key pads the
+    seed's words to the pool size."""
     words = _int_words(seed)
     words += [0] * (_POOL_SIZE - len(words))
     h = _INIT_A
@@ -203,28 +206,11 @@ def _seed_pool(seed: int) -> tuple:
         for dst in range(_POOL_SIZE):
             mixed, h = _hashmix(w, h)
             pool[dst] = _mix(pool[dst], mixed)
-    before, after = [], []
-    for _ in range(_POOL_SIZE):
-        before.append(h)
-        h = (h * _MULT_A) & _M32
-        after.append(h)
-    return (_column([(_MIX_MULT_L * x) & _M32 for x in pool]),
-            _column(before), _column(after))
+    return _frozen_words(pool)[:, None], _hash_constants(h, _MULT_A, _POOL_SIZE)
 
 
-def _state_constants() -> tuple:
-    """Hash constants before and after each word of ``generate_state(4,
-    uint64)``: eight 32-bit words drawn cyclically from the pool."""
-    before, after = [], []
-    h = _INIT_B
-    for _ in range(2 * _POOL_SIZE):
-        before.append(h)
-        h = (h * _MULT_B) & _M32
-        after.append(h)
-    return _column(before), _column(after)
-
-
-_STATE_BEFORE, _STATE_AFTER = _state_constants()
+# generate_state(4, uint64) hashes eight 32-bit words, cycling over the pool.
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
 
 def _mul64(a, b):
@@ -274,15 +260,12 @@ def spawn_uniforms(seed: int, keys, count: int) -> np.ndarray:
         raise InvalidStreamKey(f"count={count} must be non-negative")
     # The key, the last entropy word, is mixed into each pool word: row d of
     # these (4, B) arrays is pool word d.
-    mixed_l, before, after = _seed_pool(seed)
-    value = (keys.astype(np.uint64) ^ before) * after & _M32
-    value ^= value >> 16
-    pool = (mixed_l - _MIX_MULT_R * value) & _M32
-    pool ^= pool >> 16
+    pool, h = _seed_pool(seed)
+    mixed, _ = _hashmix(keys.astype(np.uint64), h)
+    pool = _mix(pool, mixed)
     # generate_state(4, uint64): eight hashed words, paired little-endian.
-    value = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _STATE_BEFORE) * _STATE_AFTER & _M32
-    value ^= value >> 16
-    state = value[0::2] | (value[1::2] << 32)
+    words, _ = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH, _MULT_B)
+    state = words[0::2] | (words[1::2] << 32)
     # PCG64 takes state word s = (state[0], state[1]) and increment
     # c = 2 (state[2], state[3]) + 1; both products share one (2, B, count)
     # array.
