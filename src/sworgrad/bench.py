@@ -17,6 +17,10 @@ computed as it would be alone, so the outputs do not depend on the chunk
 size; ``toy_scalar_grad`` is the same computation on one draw from a given
 stream.  ``optimize`` step t draws from ``Rng(seed, (t,))`` the same way,
 one ``spawn_uniforms`` call per ``_CHUNK_REPLICATES`` steps.
+
+``make_toy`` caches the toy of each sweep eta.  Every ``optimize`` step has
+a new eta, so a run builds each step's toy once, outside that cache, and
+uses it both for the logged loss and for the next step's draw.
 """
 from __future__ import annotations
 
@@ -30,7 +34,8 @@ import numpy as np
 
 from . import estimators as est
 from . import oracle
-from .distributions import CategoricalDist, Objective, from_logits, log_sum_exp
+from .distributions import LOG_PROB_FLOOR, CategoricalDist, Objective, from_logits
+from .errors import InvalidConfig
 from .sampling import Rng, spawn_uniforms
 
 TARGETS = (0.6, 0.51, 0.48)
@@ -66,6 +71,10 @@ _F_VALUES = np.array(
 )
 _BITS.setflags(write=False)
 _F_VALUES.setflags(write=False)
+# Positions into the four-entry table (b[0], b[1], j[0], j[1]) of a toy
+# build: [i, 0] picks each outcome's bit i from the per-bit log-probabilities
+# b, [i, 1] from the per-bit jacobian terms j.
+_BIT_TAKE = np.stack([_BITS.T, _BITS.T + 2], axis=1).astype(int)
 
 
 @dataclass(frozen=True)
@@ -83,23 +92,38 @@ class BernoulliToy:
     eta_jacobian: np.ndarray  # d(joint log-prob)/d(eta) per outcome
     centered_jacobian: np.ndarray
     score_objective: np.ndarray
+    loss: float  # the exact expected loss sum_x p(x) f(x)
 
 
-@lru_cache(maxsize=128)
-def make_toy(eta: float) -> BernoulliToy:
-    # Per-bit log-probabilities, exact in the tails.  Normalizing them and
-    # summing the joint row-major is the arithmetic of FactorizedDist.flatten,
-    # so the flat distribution is the same floats.
+def _build_toy(eta: float) -> BernoulliToy:
+    """The toy at ``eta``, with the float operations of building the
+    factorized distribution and flattening it: the per-bit log-probabilities
+    b are normalized by a log-sum-exp, and the joint of outcome x is
+    (b[x0] + b[x1]) + b[x2], the add order of ``np.add.outer``.  The joint
+    and the jacobian come from one gather; the joint is normalized inline,
+    and ``from_logits`` is called only when an entry falls below
+    ``LOG_PROB_FLOOR`` (or is not finite), to floor it or raise."""
+    # Per-bit log-probabilities, exact in the tails.
     log_sig = -math.log1p(math.exp(-eta)) if eta >= 0 else eta - math.log1p(math.exp(eta))
-    bit_lp = np.array([log_sig - eta, log_sig])
-    bit_lp = bit_lp - log_sum_exp(bit_lp)
-    joint = np.zeros(1)
-    for _ in range(NUM_BITS):
-        joint = np.add.outer(joint, bit_lp).ravel()
-    flat = from_logits(joint)
-    d = _BITS - sigmoid(eta)
-    jac = (d[:, 0] + d[:, 1]) + d[:, 2]
-    centered = jac - float(np.dot(flat.probs, jac))
+    v0, v1 = log_sig - eta, log_sig
+    top = max(v0, v1)
+    e0, e1 = np.exp([v0 - top, v1 - top]).tolist()
+    norm = top + math.log(e0 + e1)
+    # + 0.0 is the outer product's start from a zero joint: it turns -0.0
+    # into 0.0 and leaves every other float as it is.
+    b0, b1 = (v0 - norm) + 0.0, (v1 - norm) + 0.0
+    sig = sigmoid(eta)
+    g = np.array([b0, b1, 0.0 - sig, 1.0 - sig]).take(_BIT_TAKE)
+    joint, jac = (g[0] + g[1]) + g[2]
+    hi, lo = max(b0, b1), min(b0, b1)
+    hi, lo = (hi + hi) + hi, (lo + lo) + lo  # the joint's largest and smallest entries
+    log_z = hi + math.log(np.exp(joint - hi).sum())
+    if lo - log_z >= LOG_PROB_FLOOR:
+        flat = CategoricalDist(log_probs=joint - log_z, logits=joint)
+    else:
+        flat = from_logits(joint)
+    probs = flat.probs
+    centered = jac - float(np.dot(probs, jac))
     score = centered * _F_VALUES
     for arr in (jac, centered, score):
         arr.setflags(write=False)
@@ -110,12 +134,18 @@ def make_toy(eta: float) -> BernoulliToy:
         eta_jacobian=jac,
         centered_jacobian=centered,
         score_objective=score,
+        loss=float(np.dot(probs, _F_VALUES)),
     )
 
 
+@lru_cache(maxsize=128)
+def make_toy(eta: float) -> BernoulliToy:
+    """The toy at ``eta``, cached: sweep cells reuse a few etas."""
+    return _build_toy(eta)
+
+
 def exact_loss(eta: float) -> float:
-    toy = make_toy(eta)
-    return float(np.dot(toy.flat.probs, toy.f_values))
+    return make_toy(eta).loss
 
 
 def loss_lower_bound(grid: int = 100001) -> float:
@@ -144,18 +174,17 @@ def toy_scalar_grad(kind: str, eta: float, k: int, rng: Rng) -> float:
     of ``rng``; this is the one-draw call of ``_scalar_grads``.
     """
     u = rng.generator.random((1, _uniform_count(kind, k)))
-    return float(_scalar_grads(kind, eta, k, u)[0])
+    return float(_scalar_grads(est.estimator_spec(kind), make_toy(eta), k, u)[0])
 
 
 def _uniform_count(kind: str, k: int) -> int:
     return est.estimator_spec(kind).law.uniforms(k, DOMAIN)
 
 
-def _scalar_grads(kind: str, eta: float, k: int, u: np.ndarray) -> np.ndarray:
-    """The scalar gradient of one draw from each row of the uniforms ``u``:
-    one law call draws the batch and one coefs call weighs it."""
-    spec = est.estimator_spec(kind)
-    toy = make_toy(eta)
+def _scalar_grads(spec, toy: BernoulliToy, k: int, u: np.ndarray) -> np.ndarray:
+    """The scalar gradient on ``toy``, under the estimator of table entry
+    ``spec``, of one draw from each row of the uniforms ``u``: one law call
+    draws the batch and one coefs call weighs it."""
     points, r = spec.law.draw(u, toy.flat, k)
     elements, coefs = spec.coefs(toy.flat, points, toy.f_values[points], r)
     return est._rowdot(coefs, toy.centered_jacobian[elements])
@@ -240,11 +269,12 @@ class VarianceReport:
 def _replicate(kind, eta, k, seed, replications) -> np.ndarray:
     """Replicates 0 .. replications-1 of one sweep cell, replicate r drawn
     from the stream (seed, r), in chunks of ``_CHUNK_REPLICATES``."""
-    vals = np.empty(max(replications, 0))
+    spec, toy = est.estimator_spec(kind), make_toy(eta)
+    vals = np.empty(replications)
     for start in range(0, replications, _CHUNK_REPLICATES):
         stop = min(start + _CHUNK_REPLICATES, replications)
         u = spawn_uniforms(seed, np.arange(start, stop), _uniform_count(kind, k))
-        vals[start:stop] = _scalar_grads(kind, eta, k, u)
+        vals[start:stop] = _scalar_grads(spec, toy, k, u)
     return vals
 
 
@@ -252,7 +282,8 @@ def variance_sweep(config: dict) -> VarianceReport:
     """Empirical variance of the scalar gradient per (estimator, k, eta).
 
     Config keys: ``estimators`` (ids), ``k`` (list), ``eta`` (list),
-    ``replications``, ``seed``.  Replicate r draws from its own stream
+    ``replications`` (at least 2; fewer raises InvalidConfig), ``seed``.
+    Replicate r draws from its own stream
     ``Rng(seed, (r,))``, the stream of ``Rng(seed).split(r)``.  A cell runs
     as chunks of replicates with one coefs call each; the chunk size changes
     no output, so reports are reproducible regardless of batching.
@@ -262,13 +293,15 @@ def variance_sweep(config: dict) -> VarianceReport:
     etas = [float(v) for v in config["eta"]]
     replications = int(config.get("replications", 10**4))
     seed = int(config.get("seed", 0))
+    if replications < 2:
+        raise InvalidConfig(f"replications must be at least 2, got {replications}")
 
     rows = []
     for kind in estimators:
         for k in ks:
             for eta in etas:
                 vals = _replicate(kind, eta, k, seed, replications)
-                var = float(np.var(vals, ddof=1)) if replications > 1 else 0.0
+                var = float(np.var(vals, ddof=1))
                 log10_var = math.log10(var) if var > 0 else -math.inf
                 rows.append(
                     VarianceRow(
@@ -319,10 +352,12 @@ class OptRun:
 def optimize(config: dict) -> OptRun:
     """Plain gradient descent on eta with a chosen gradient estimator.
 
-    Config keys: ``estimator``, ``k``, ``eta0``, ``step_size``, ``steps``,
-    ``seed``.  Step t is ``toy_scalar_grad`` on the stream ``Rng(seed,
-    (t,))``; the uniforms of ``_CHUNK_REPLICATES`` steps come from one
-    ``spawn_uniforms`` call.  Runs whose parameter leaves
+    Config keys: ``estimator``, ``k``, ``eta0``, ``step_size``, ``steps``
+    (at least 0; fewer raises InvalidConfig), ``seed``.  Step t is
+    ``toy_scalar_grad`` on the stream ``Rng(seed, (t,))``; the uniforms of
+    ``_CHUNK_REPLICATES`` steps come from one ``spawn_uniforms`` call.  Each
+    step's toy is built once, outside ``make_toy``'s cache, for the loss it
+    logs and the draw that follows.  Runs whose parameter leaves
     [-DIVERGENCE_BOUND, DIVERGENCE_BOUND] are flagged and truncated.
     """
     kind = config["estimator"]
@@ -331,19 +366,22 @@ def optimize(config: dict) -> OptRun:
     lr = float(config.get("step_size", 0.1))
     steps = int(config.get("steps", 500))
     seed = int(config.get("seed", 0))
+    if steps < 0:
+        raise InvalidConfig(f"steps must be at least 0, got {steps}")
 
-    trajectory = [(0, eta, exact_loss(eta))]
+    spec, toy = est.estimator_spec(kind), _build_toy(eta)
+    trajectory = [(0, eta, toy.loss)]
     diverged = False
     for t in range(steps):
         row = t % _CHUNK_REPLICATES
         if row == 0:
             stop = min(t + _CHUNK_REPLICATES, steps)
             u = spawn_uniforms(seed, np.arange(t, stop), _uniform_count(kind, k))
-        grad = float(_scalar_grads(kind, eta, k, u[row:row + 1])[0])
+        grad = float(_scalar_grads(spec, toy, k, u[row:row + 1])[0])
         eta = eta - lr * grad
+        toy = _build_toy(eta)
+        trajectory.append((t + 1, eta, toy.loss))
         if abs(eta) > DIVERGENCE_BOUND:
             diverged = True
-            trajectory.append((t + 1, eta, exact_loss(eta)))
             break
-        trajectory.append((t + 1, eta, exact_loss(eta)))
     return OptRun(steps=trajectory, diverged=diverged, config=dict(config))

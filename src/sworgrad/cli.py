@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 any failed check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,7 +29,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: every ``run`` call
+    reuses it, since parsing keeps no state in it."""
     parser = _Parser(prog="sworgrad", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -132,6 +136,8 @@ def _cmd_optimize(args) -> int:
 
 
 def run(argv) -> int:
+    """Run one command in-process and return its exit code; the parser is
+    shared by every call (see ``_build_parser``)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,6 +19,11 @@ class InvalidStreamKey(SworgradError, ValueError):
     word of the batched stream path."""
 
 
+class InvalidConfig(SworgradError, ValueError):
+    """A benchmark config value is out of range: fewer than two replications
+    of a variance sweep, or a negative step count of an optimize run."""
+
+
 class InvalidRestriction(SworgradError):
     """The queried element lies inside the excluded set."""
 

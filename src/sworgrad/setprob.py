@@ -48,6 +48,7 @@ nothing more, log p^{D \\ C}(S \\ C).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -131,6 +132,10 @@ def _complement_masses(dist: CategoricalDist, C: np.ndarray) -> np.ndarray:
 
 _BACKENDS = ("auto", "naive", "exact", "integral")
 
+# The parsed form of the default empty ``exclude``: one row of no indices.
+_NO_EXCLUDE = np.empty((1, 0), dtype=int)
+_NO_EXCLUDE.setflags(write=False)
+
 
 def _split_sets(dist: CategoricalDist, S, C, backend: str, nodes: int):
     """The argument checks every entry point shares.  S is one set or a
@@ -141,7 +146,7 @@ def _split_sets(dist: CategoricalDist, S, C, backend: str, nodes: int):
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     S, single = _index_rows(S, dist.n)
-    C, _ = _index_rows(C, dist.n)
+    C = _NO_EXCLUDE if isinstance(C, tuple) and not C else _index_rows(C, dist.n)[0]
     B = len(S)
     if len(C) not in (1, B):
         raise InvalidIndices(f"exclude has {len(C)} rows for {B} sets")
@@ -183,9 +188,10 @@ def _naive_restricted_logs(dist, S, rest, rel_excludes):
     return results
 
 
-def _two_sum(a, b):
-    """Error-free float addition: a + b = s + err exactly."""
-    s = a + b
+def _two_sum(a, b, out=None):
+    """Error-free float addition: a + b = s + err exactly; s is written to
+    ``out`` when given."""
+    s = np.add(a, b, out=out)
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
 
@@ -203,37 +209,56 @@ def _two_prod(x, y):
     return p, err
 
 
-def _subset_masses_and_signs(p_elems):
-    """Subset-sum tables over bitmasks, one row per set, kept as compensated
-    (hi, lo) pairs.
-
-    masses[b, m] = sum of p_elems[b] over the bits set in mask m.  The
-    alternating inclusion-exclusion sum can cancel down to ~2^k epsilon times
-    the largest term, so the masses (and later the quotients) carry their
-    rounding residuals explicitly.
-    """
-    B, m = p_elems.shape
-    hi = np.zeros((B, 1 << m))
-    lo = np.zeros((B, 1 << m))
+@functools.lru_cache(maxsize=EXACT_MAX_K + 1)
+def _subset_signs(m: int) -> np.ndarray:
+    """(-1)^|c| for every bitmask c over m elements, read-only."""
     signs = np.ones(1 << m)
     for j in range(m):
         size = 1 << j
-        s, err = _two_sum(hi[:, :size], p_elems[:, j : j + 1])
-        hi[:, size : 2 * size] = s
-        lo[:, size : 2 * size] = lo[:, :size] + err
         signs[size : 2 * size] = -signs[:size]
-    return hi, lo, signs
+    signs.setflags(write=False)
+    return signs
 
 
-def _quotient_terms(m0, mass_hi, mass_lo):
-    """m0 / (m0 + mass) as compensated (hi, lo) pairs, accurate to ~eps^2."""
-    d, d_err = _two_sum(m0, mass_hi)
-    d_lo = d_err + mass_lo
-    q = m0 / d
+def _subset_masses(p_elems):
+    """Subset-sum tables over bitmasks, one row per set, kept as compensated
+    (hi, lo) pairs.
+
+    hi[b, c] + lo[b, c] = sum of p_elems[b] over the bits set in mask c,
+    for m >= 1 elements.  The table doubles once per element: the masks
+    holding bit j are those below 2^j plus element j, added with
+    ``_two_sum``'s error-free arithmetic, written in place.  The alternating
+    inclusion-exclusion sum can cancel down to ~2^k epsilon times the
+    largest term, so the masses (and later the quotients) carry their
+    rounding residuals explicitly.
+    """
+    B, m = p_elems.shape
+    hi, lo = np.zeros((2, B, 1 << m))
+    hi[:, 1] = p_elems[:, 0]  # 0 + p: exact, with a zero residual
+    for j in range(1, m):
+        size = 1 << j
+        _, err = _two_sum(hi[:, :size], p_elems[:, j : j + 1], out=hi[:, size : 2 * size])
+        np.add(lo[:, :size], err, out=lo[:, size : 2 * size])
+    return hi, lo
+
+
+def _signed_quotients(m0, mass_hi, mass_lo, signs):
+    """The inclusion-exclusion terms signs[c] m0 / (m0 + mass(c)) as
+    compensated pairs accurate to ~eps^2, in one (B, 2, 2^m) array: [:, 0]
+    holds the high parts, [:, 1] the low parts."""
+    B, size = mass_hi.shape
+    terms = np.empty((B, 2, size))
+    q, q_lo = terms[:, 0], terms[:, 1]
+    d, d_lo = _two_sum(m0, mass_hi)
+    d_lo += mass_lo
+    np.divide(m0, d, out=q)
     prod, prod_err = _two_prod(q, d)
-    residual = (m0 - prod) - prod_err
-    q_lo = (residual - q * d_lo) / d
-    return q, q_lo
+    residual = np.subtract(m0, prod, out=prod)
+    residual -= prod_err
+    residual -= np.multiply(q, d_lo, out=d_lo)
+    np.divide(residual, d, out=q_lo)
+    terms *= signs
+    return terms
 
 
 def _log1mexp(x: np.ndarray) -> np.ndarray:
@@ -354,13 +379,13 @@ def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
     if m > EXACT_MAX_K:
         raise TooManySubsets(f"|S \\ C| = {m} exceeds {EXACT_MAX_K}")
     m0 = _complement_masses(dist, S)
-    mass_hi, mass_lo, signs = _subset_masses_and_signs(_math_exp(dist.log_probs[rest]))
-    q, q_lo = _quotient_terms(m0[:, None], mass_hi, mass_lo)
+    mass_hi, mass_lo = _subset_masses(_math_exp(dist.log_probs[rest]))
     # The signed terms of each row, high and low parts, with one axis of
     # length 2 per free element: the bit of position pos in a subset's mask
     # is axis m + 1 - pos.  A query's subsets are a view, its excluded axes
     # taken at 0.
-    terms = np.concatenate((signs * q, signs * q_lo), axis=1).reshape((B, 2) + (2,) * m)
+    terms = _signed_quotients(m0[:, None], mass_hi, mass_lo, _subset_signs(m))
+    terms = terms.reshape((B, 2) + (2,) * m)
 
     logs = np.zeros((B, len(rel_excludes)))
     cancelled: dict = {}
@@ -431,6 +456,18 @@ def p_set_integral(dist: CategoricalDist, S, C=(), nodes: int = DEFAULT_NODES) -
     return _p_set(dist, S, C, "integral", nodes)
 
 
+@functools.lru_cache(maxsize=32)
+def _loo_queries(m: int, order: int):
+    """The exclusion queries of ``loo_ratios`` over m free elements: each
+    position alone, then (order 2) each pair i < j, with the pairs' i and j
+    as two read-only index arrays."""
+    pairs = list(itertools.combinations(range(m), 2)) if order == 2 else []
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return tuple((pos,) for pos in range(m)) + tuple(pairs), i, j
+
+
 def loo_ratios(
     dist: CategoricalDist,
     S,
@@ -470,9 +507,8 @@ def loo_ratios(
         ratios = np.ones((B, m))
         second = np.ones((B, m, m)) if order == 2 else None
     else:
-        singles = [(i,) for i in range(m)]
-        pairs = list(itertools.combinations(range(m), 2)) if order == 2 else []
-        logs = _restricted_logs(dist, S, rest, singles + pairs, backend, nodes)
+        queries, i, j = _loo_queries(m, order)
+        logs = _restricted_logs(dist, S, rest, queries, backend, nodes)
 
         log_num = logs[:, :m]
         # p^{D\C}(S\C) = sum_s p^{D\C}(s) p^{D\(C u {s})}(S \ C \ {s})
@@ -486,7 +522,6 @@ def loo_ratios(
         second = None
         if order == 2:
             second = np.ones((B, m, m))
-            i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
             second[:, i, j] = _math_exp(logs[:, m:] - log_num[:, i])
             second[:, j, i] = _math_exp(logs[:, m:] - log_num[:, j])
 

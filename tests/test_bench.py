@@ -9,7 +9,7 @@ import pytest
 import sworgrad as sg
 from sworgrad import Rng, bench
 from sworgrad import estimators as est
-from sworgrad.errors import InvalidSampleSize, NeedTwoSamples, SworgradError
+from sworgrad.errors import InvalidConfig, InvalidSampleSize, NeedTwoSamples, SworgradError
 from sworgrad.sampling import sample_with_replacement
 
 
@@ -48,6 +48,30 @@ class TestToyProblem:
         assert toy.eta_jacobian.tolist() == jac
         assert toy.centered_jacobian.tolist() == centered.tolist()
         assert toy.score_objective.tolist() == (centered * np.array(f_vals)).tolist()
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-12, -1e-12, 4.0, -4.0, 50.0, -50.0, 800.0, -800.0])
+    def test_toy_equals_from_logits_of_the_outer_joint_bitwise(self, eta):
+        """make_toy's one-gather build gives the bytes of ``from_logits`` on
+        the joint of three ``np.add.outer`` calls; at |eta| = 800 the joint
+        falls below LOG_PROB_FLOOR and takes the floor branch."""
+        log_sig = -math.log1p(math.exp(-eta)) if eta >= 0 else eta - math.log1p(math.exp(eta))
+        bit_lp = np.array([log_sig - eta, log_sig])
+        bit_lp = bit_lp - sg.distributions.log_sum_exp(bit_lp)
+        joint = np.zeros(1)
+        for _ in range(bench.NUM_BITS):
+            joint = np.add.outer(joint, bit_lp).ravel()
+        flat = sg.from_logits(joint)
+        d = np.array([[(idx >> (2 - i)) & 1 for i in range(3)] for idx in range(8)]) - bench.sigmoid(eta)
+        jac = (d[:, 0] + d[:, 1]) + d[:, 2]
+        centered = jac - float(np.dot(flat.probs, jac))
+        floored = bool(np.min(joint - sg.distributions.log_sum_exp(joint)) < sg.distributions.LOG_PROB_FLOOR)
+        assert floored == (abs(eta) == 800.0)
+        toy = bench.make_toy(eta)
+        for got, want in [(toy.flat.log_probs, flat.log_probs), (toy.flat.logits, flat.logits),
+                          (toy.eta_jacobian, jac), (toy.centered_jacobian, centered),
+                          (toy.score_objective, centered * bench._F_VALUES)]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert toy.loss == float(np.dot(flat.probs, bench._F_VALUES))
 
     def test_exact_gradient_matches_finite_differences(self):
         step = 1e-5
@@ -185,6 +209,15 @@ class TestVarianceSweep:
             assert row.variance >= 0.0
             assert row.evals == row.k
 
+    @pytest.mark.parametrize("replications", [1, 0, -5])
+    def test_fewer_than_two_replications_raise(self, replications):
+        """One replicate has no sample variance; the sweep must not write a
+        zero-variance row for it."""
+        config = {"estimators": ["unordered-set-pg"], "k": [2], "eta": [0.0],
+                  "replications": replications}
+        with pytest.raises(InvalidConfig, match=f"at least 2, got {replications}"):
+            bench.variance_sweep(config)
+
     def test_eval_accounting(self):
         config = {
             "estimators": ["reinforce-sampled-bl", "single-sample", "exact"],
@@ -312,6 +345,26 @@ class TestOptimize:
             run = bench.optimize(config)
             assert not run.diverged
             assert run.etas.tolist() == want, (kind, chunk)
+
+    def test_run_leaves_the_sweep_toys_cached(self):
+        """A run builds its steps' toys outside make_toy's cache, so the
+        cached sweep toys stay, and the cache counters do not move."""
+        sweep = [bench.make_toy(eta) for eta in (0.0, -4.0)]
+        info = bench.make_toy.cache_info()
+        run = bench.optimize({"estimator": "unordered-set-pg", "k": 4, "eta0": 0.0,
+                              "step_size": 0.1, "steps": 500, "seed": 0})
+        assert len(run.steps) == 501
+        assert bench.make_toy.cache_info() == info
+        assert all(bench.make_toy(eta) is toy for eta, toy in zip((0.0, -4.0), sweep))
+
+    def test_zero_steps_logs_the_start(self):
+        run = bench.optimize({"estimator": "exact", "k": 8, "eta0": 0.5, "steps": 0})
+        assert run.steps == [(0, 0.5, bench.exact_loss(0.5))]
+
+    @pytest.mark.parametrize("steps", [-1, -500])
+    def test_negative_steps_raise(self, steps):
+        with pytest.raises(InvalidConfig, match=f"steps must be at least 0, got {steps}"):
+            bench.optimize({"estimator": "exact", "k": 8, "steps": steps})
 
     def test_full_domain_run_matches_exact_bitwise(self):
         base = {"k": 8, "eta0": 0.0, "step_size": 0.1, "steps": 100, "seed": 0}

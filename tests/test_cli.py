@@ -158,6 +158,14 @@ class TestVariance:
     def test_missing_config_is_error(self, tmp_path):
         assert _run(["variance", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("replications", [1, -5])
+    def test_fewer_than_two_replications_is_error(self, tmp_path, capsys, replications):
+        cfg = self._config(tmp_path, replications=replications)
+        assert _run(["variance", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: replications must be at least 2, got {replications}\n"
+        assert captured.out == ""
+
     def test_malformed_config_is_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"estimators": ["unordered-set-pg"]}')
@@ -187,6 +195,14 @@ class TestOptimize:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_negative_steps_is_error(self, tmp_path, capsys):
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({"estimator": "exact", "k": 8, "steps": -3}))
+        assert _run(["optimize", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: steps must be at least 0, got -3\n"
+        assert captured.out == ""
+
     def test_csv_output(self, tmp_path):
         cfg = tmp_path / "opt.json"
         cfg.write_text(
@@ -211,3 +227,29 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert _run(["probset", "--set", "0"]) == 1
+
+    def test_reused_parser_keeps_no_state(self, capsys):
+        """The parser built by the first call serves every later call: a
+        usage error, a check and a probset in a row print what each prints
+        when it is the process's first call."""
+        calls = [
+            ["optimize"],
+            ["check", "--n", "4", "--k", "2", "--cases", "2", "--seed", "3"],
+            ["probset", "--dist", "[0.4,0.3,0.2,0.1]", "--set", "0,2", "--order", "2"],
+        ]
+
+        def call(argv):
+            code = _run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        cli._build_parser.cache_clear()
+        in_a_row = [call(argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append(call(argv))
+        assert in_a_row == alone
+        assert [code for code, _, _ in alone] == [1, 0, 0]
+        assert alone[0][2].startswith("usage error: ")

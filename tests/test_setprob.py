@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dist
+from sworgrad import setprob
 from sworgrad import (
     FactorizedDist,
     Rng,
@@ -399,3 +400,86 @@ class TestBatchedKernel:
         flat = loo_ratios(running_dist, rows, exclude=[0])
         np.testing.assert_array_equal(shared.ratios, flat.ratios)
         np.testing.assert_array_equal(shared.log_p_set, flat.log_p_set)
+
+
+def _doubling_table(p_elems):
+    """The subset-sum table and signed quotient terms as the exact kernel
+    built them with copies: one ``_two_sum`` per element, a Veltkamp
+    ``_two_prod``, and the signed halves concatenated."""
+    B, m = p_elems.shape
+    hi = np.zeros((B, 1 << m))
+    lo = np.zeros((B, 1 << m))
+    signs = np.ones(1 << m)
+    for j in range(m):
+        size = 1 << j
+        a, b = hi[:, :size], p_elems[:, j : j + 1]
+        s = a + b
+        bb = s - a
+        err = (a - (s - bb)) + (b - bb)
+        hi[:, size : 2 * size] = s
+        lo[:, size : 2 * size] = lo[:, :size] + err
+        signs[size : 2 * size] = -signs[:size]
+    return hi, lo, signs
+
+
+def _doubling_terms(m0, hi, lo, signs):
+    def two_sum(a, b):
+        s = a + b
+        bb = s - a
+        return s, (a - (s - bb)) + (b - bb)
+
+    def split(x):
+        c = 134217729.0 * x
+        xh = c - (c - x)
+        return xh, x - xh
+
+    d, d_err = two_sum(m0, hi)
+    d_lo = d_err + lo
+    q = m0 / d
+    prod = q * d
+    (qh, ql), (dh, dl) = split(q), split(d)
+    prod_err = ((qh * dh - prod) + qh * dl + ql * dh) + ql * dl
+    residual = (m0 - prod) - prod_err
+    q_lo = (residual - q * d_lo) / d
+    return np.concatenate((signs * q, signs * q_lo), axis=1)
+
+
+class TestSubsetTable:
+    """The in-place subset table and signed quotients of the exact kernel
+    equal the copying doubling loop above bit for bit.  Every m up to
+    EXACT_MAX_K runs at B = 1; B = 3 and B = 256 run while the table has at
+    most 2^20 entries, and the quotients while it has at most 2^16, which
+    keeps the test's memory small."""
+
+    @staticmethod
+    def _probabilities(kind, gen, B, m):
+        """(p_elems, m0) of B random m-sets of an (m + 3)-element domain."""
+        n = m + 3
+        if kind == "uniform":
+            logits = np.zeros(n)
+        elif kind == "lognormal":
+            logits = gen.normal(0.0, 20.0, n)
+        else:  # floored: half the domain at PROB_FLOOR
+            logits = np.concatenate([np.full(n // 2, -1000.0), gen.normal(0.0, 1.0, n - n // 2)])
+        dist = from_logits(logits)
+        S = np.sort(np.array([gen.permutation(n)[:m] for _ in range(B)]), axis=1)
+        return setprob._math_exp(dist.log_probs[S]), setprob._complement_masses(dist, S)[:, None]
+
+    @pytest.mark.parametrize("kind", ["uniform", "lognormal", "floored"])
+    @pytest.mark.parametrize("B", [1, 3, 256])
+    def test_matches_the_doubling_loop_bitwise(self, kind, B):
+        gen = np.random.default_rng(["uniform", "lognormal", "floored"].index(kind) * 7 + B)
+        for m in range(1, setprob.EXACT_MAX_K + 1):
+            if B << m > 1 << 20 and B > 1:
+                break
+            p, m0 = self._probabilities(kind, gen, B, m)
+            if kind == "floored" and m >= 5:  # a set misses 3 elements, so holds a floored one
+                assert np.min(p) < 1e-299
+            hi, lo = setprob._subset_masses(p)
+            want_hi, want_lo, signs = _doubling_table(p)
+            assert hi.tobytes() == want_hi.tobytes(), m
+            assert lo.tobytes() == want_lo.tobytes(), m
+            assert setprob._subset_signs(m).tobytes() == signs.tobytes(), m
+            if B << m <= 1 << 16:
+                terms = setprob._signed_quotients(m0, hi, lo, signs).reshape(B, -1)
+                assert terms.tobytes() == _doubling_terms(m0, want_hi, want_lo, signs).tobytes(), m
