@@ -64,17 +64,18 @@ def outcome_bits(idx: int) -> tuple:
     return tuple((idx >> (NUM_BITS - 1 - i)) & 1 for i in range(NUM_BITS))
 
 
-# The eta-free tables of the toy: each outcome's bits, and its loss.
-_BITS = np.array([outcome_bits(idx) for idx in range(DOMAIN)], dtype=float)
+# The eta-free tables of the toy: each outcome's loss, and positions into
+# the four-entry table (b[0], b[1], j[0], j[1]) of a toy build, where
+# _BIT_TAKE[i, 0, x] picks outcome x's bit i from the per-bit
+# log-probabilities b and _BIT_TAKE[i, 1, x] from the per-bit jacobian terms j.
 _F_VALUES = np.array(
     [sum((b - t) ** 2 for b, t in zip(outcome_bits(idx), TARGETS)) for idx in range(DOMAIN)]
 )
-_BITS.setflags(write=False)
+_BIT_TAKE = np.array(
+    [[[outcome_bits(x)[i] + 2 * j for x in range(DOMAIN)] for j in (0, 1)] for i in range(NUM_BITS)]
+)
 _F_VALUES.setflags(write=False)
-# Positions into the four-entry table (b[0], b[1], j[0], j[1]) of a toy
-# build: [i, 0] picks each outcome's bit i from the per-bit log-probabilities
-# b, [i, 1] from the per-bit jacobian terms j.
-_BIT_TAKE = np.stack([_BITS.T, _BITS.T + 2], axis=1).astype(int)
+_BIT_TAKE.setflags(write=False)
 
 
 @dataclass(frozen=True)
