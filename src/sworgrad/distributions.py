@@ -46,17 +46,18 @@ def log_sum_exp(values: np.ndarray) -> float:
     return hi + math.log(float(np.sum(np.exp(values - hi))))
 
 
-def _index_rows(sample, n: int, *, sets: bool = True):
+def _index_rows(sample, n: int, *, sets: bool = True, ordered: bool = False):
     """The one index check of every public entry point.
 
     ``sample`` is a sample object (anything with ``.indices``), a 1-D
     array-like (one sample) or a (B, k) array (B samples, one per row).
     Returns the samples as a (B, k) int array, one row for a 1-D input, and
-    whether the input was one sample.  Set rows (``sets``) come back sorted
-    and must hold distinct elements; draws (``sets=False``) keep their order
-    and may repeat.  Raises InvalidIndices unless every index lies in
-    range(n).  The checks are whole-array operations: batches of hundreds of
-    rows are the common input.
+    whether the input was one sample.  Set rows (``sets``) must hold
+    distinct elements and come back sorted, unless ``ordered`` (draws
+    without replacement), when they keep their order; draws
+    (``sets=False``) keep their order and may repeat.  Raises InvalidIndices
+    unless every index lies in range(n).  The checks are whole-array
+    operations: batches of hundreds of rows are the common input.
     """
     idx = np.asarray(getattr(sample, "indices", sample), dtype=int)
     single = idx.ndim != 2
@@ -64,20 +65,22 @@ def _index_rows(sample, n: int, *, sets: bool = True):
     if not rows.size:
         return rows, single
     if sets:
-        rows = np.sort(rows, axis=1)
-        repeats = rows[:, 1:] == rows[:, :-1]
+        sorted_rows = np.sort(rows, axis=1)
+        repeats = sorted_rows[:, 1:] == sorted_rows[:, :-1]
         if np.count_nonzero(repeats):
-            bad = rows[repeats.any(axis=1)][0].tolist()
+            bad = sorted_rows[repeats.any(axis=1)][0].tolist()
             raise InvalidIndices(f"set elements must be distinct, got {bad}")
+        if not ordered:
+            rows = sorted_rows
     if rows.min() < 0 or rows.max() >= n:
         raise InvalidIndices(f"set elements out of range for domain of size {n}")
     return rows, single
 
 
-def _index_row(sample, n: int, *, sets: bool = True) -> np.ndarray:
+def _index_row(sample, n: int, *, sets: bool = True, ordered: bool = False) -> np.ndarray:
     """The indices of one sample, checked by ``_index_rows``, as a 1-D array;
     a (B, k) array with B != 1 is not one sample."""
-    rows, _ = _index_rows(sample, n, sets=sets)
+    rows, _ = _index_rows(sample, n, sets=sets, ordered=ordered)
     if len(rows) != 1:
         raise InvalidIndices(f"expected one sample, got {len(rows)} rows")
     return rows[0]
@@ -135,12 +138,20 @@ class CategoricalDist:
         """log of the probability mass outside C, via logsumexp over D \\ C.
 
         C is used as a numpy index, unchecked: the kernels call this with
-        indices that ``_index_rows`` has already checked."""
+        indices that ``_index_rows`` has already checked.  The arithmetic is
+        ``log_sum_exp``'s, reduced by the array methods, which skip the
+        Python wrappers of ``np.max`` and ``np.sum`` on this per-call path."""
         mask = np.ones(self.n, dtype=bool)
         idx = np.fromiter(C, dtype=int, count=-1) if not isinstance(C, np.ndarray) else C
         if len(idx):
             mask[idx] = False
-        return log_sum_exp(self.log_probs[mask])
+        values = self.log_probs[mask]
+        if not values.size:
+            return -math.inf
+        hi = float(values.max())
+        if hi == -math.inf:
+            return -math.inf
+        return hi + math.log(float(np.exp(values - hi).sum()))
 
     def to_dict(self) -> dict:
         if self.logits is not None:

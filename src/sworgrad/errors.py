@@ -20,8 +20,9 @@ class InvalidStreamKey(SworgradError, ValueError):
 
 
 class InvalidConfig(SworgradError, ValueError):
-    """A benchmark config value is out of range: fewer than two replications
-    of a variance sweep, or a negative step count of an optimize run."""
+    """A benchmark or check config value is out of range: fewer than two
+    replications of a variance sweep, a negative step count of an optimize
+    run, or fewer than one case of an identity-check report."""
 
 
 class InvalidRestriction(SworgradError):

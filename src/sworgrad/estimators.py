@@ -15,6 +15,12 @@ per sample.  ``_estimate`` maps a batch to B values or a (B, n) array of
 gradients.  The exact oracle passes a whole enumerated sample space as one
 batch; every one-sample function below is the B = 1 row of the same code.
 
+Indices are checked once per public call, at the boundary: each public
+function below checks its sample with ``_index_rows``.  The coefs functions
+take checked rows (a law's draw, the oracle's enumerated spaces, or a
+sample a public function has checked) and call the ``setprob._loo_ratios``
+core, which checks nothing again.
+
 ``ESTIMATORS`` maps each estimator id to its sampling law (how the sample is
 drawn and how many objective evaluations it takes), its coefs function and
 its output kind.  The public functions below, the toy harness and the exact
@@ -47,7 +53,7 @@ from .sampling import (
     _gumbel_top_k_rows,
     _inverse_cdf,
 )
-from .setprob import _complement_masses, loo_ratios
+from .setprob import _complement_masses, _loo_ratios, loo_ratios
 
 EXACT = "exact"
 SINGLE_SAMPLE = "single-sample"
@@ -153,15 +159,22 @@ def sum_and_sample_weights(dist: CategoricalDist, B, m: int = 1):
     the mass outside H spread by the restricted first-draw posterior, so the
     weights total 1 up to rounding.
     """
-    idx, single = _index_rows(B, dist.n, sets=False)
+    idx, single = _index_rows(B, dist.n, ordered=True)
+    w = _sas_weights(dist, idx, m)
+    return (idx[0], w[0]) if single else (idx, w)
+
+
+def _sas_weights(dist: CategoricalDist, idx: np.ndarray, m: int) -> np.ndarray:
+    """``sum_and_sample_weights`` of checked (batch, k) draws without
+    replacement: one row of weights per row of ``idx``."""
     k = idx.shape[1]
     if not 1 <= m < k:
         raise InvalidSplit(f"need 1 <= m < k, got m={m}, k={k}")
-    lr = loo_ratios(dist, np.sort(idx, axis=1), exclude=idx[:, : k - m])
+    tail = idx[:, k - m:]
+    lr = _loo_ratios(dist, np.sort(idx, axis=1), np.sort(tail, axis=1), 1, idx[:, : k - m])
     w = np.exp(dist.log_probs[idx])
-    tail = k - m + idx[:, k - m:].argsort(axis=1, kind="stable")
-    w[np.arange(len(idx))[:, None], tail] *= lr.ratios
-    return (idx[0], w[0]) if single else (idx, w)
+    w[np.arange(len(idx))[:, None], k - m + tail.argsort(axis=1, kind="stable")] *= lr.ratios
+    return w
 
 
 def det_sum_and_sample_split(dist: CategoricalDist, k: int) -> np.ndarray:
@@ -227,8 +240,8 @@ def _priority_weights(dist: CategoricalDist, elements: np.ndarray, kappa) -> np.
 
 
 def _posterior_coefs(dist, S, fv, r=None):
-    elements, w = posterior_weights(dist, S)
-    return elements, w * fv
+    lr = _loo_ratios(dist, S, S, 1)
+    return S, np.exp(dist.log_probs[S]) * lr.ratios * fv
 
 
 def _baseline_terms(dist, S, fv):
@@ -236,9 +249,9 @@ def _baseline_terms(dist, S, fv):
     every element, estimated from the others by second-order ratios."""
     if S.shape[1] < 2:
         raise NeedTwoSamples("the built-in baseline needs at least two samples")
-    lr = loo_ratios(dist, S, order=2)
-    p_el = np.exp(dist.log_probs[lr.elements])
-    return lr.elements, p_el * lr.ratios, (lr.second_order @ (p_el * fv)[:, :, None])[:, :, 0]
+    lr = _loo_ratios(dist, S, S, 2)
+    p_el = np.exp(dist.log_probs[S])
+    return S, p_el * lr.ratios, (lr.second_order @ (p_el * fv)[:, :, None])[:, :, 0]
 
 
 def _uspg_baseline_coefs(dist, S, fv, r=None):
@@ -247,8 +260,7 @@ def _uspg_baseline_coefs(dist, S, fv, r=None):
 
 
 def _stoch_sas_coefs(dist, B, fv, r=None, *, m):
-    elements, w = sum_and_sample_weights(dist, B, m)
-    return elements, w * fv
+    return B, _sas_weights(dist, B, m) * fv
 
 
 def _det_sas_coefs(dist, points, fv, r=None):
@@ -469,7 +481,7 @@ def stoch_sum_and_sample(dist: CategoricalDist, B, f, m: int = 1) -> float:
     """Sum the first k-m drawn terms exactly; estimate the remainder from the
     last m draws via the restricted unordered set estimator."""
     spec = estimator_spec(stoch_sas_id(m))
-    return _estimate_one(spec, dist, _index_row(B, dist.n, sets=False), as_objective(f))
+    return _estimate_one(spec, dist, _index_row(B, dist.n, ordered=True), as_objective(f))
 
 
 def det_sum_and_sample(dist: CategoricalDist, f, k: int, rng: Rng) -> float:

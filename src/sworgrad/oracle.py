@@ -25,7 +25,7 @@ import numpy as np
 
 from . import estimators as est
 from .distributions import CategoricalDist, Objective, _index_row, as_objective, from_logits
-from .errors import DomainTooLarge, InvalidSampleSize, SpaceTooLarge
+from .errors import DomainTooLarge, InvalidConfig, InvalidSampleSize, SpaceTooLarge
 from .setprob import p_set_exact, p_set_integral
 
 DOMAIN_CAP = 10**6
@@ -419,10 +419,13 @@ def theorem_report(n: int, k: int, cases: int, seed: int) -> dict:
     within tolerance.  Checks of estimators that need more samples than k
     (the baselines and stochastic sum-and-sample need two, its split m = 2
     three) or a larger domain than n (deterministic sum-and-sample draws
-    two) are left out.
+    two) are left out.  Raises InvalidConfig for fewer than one case: a
+    report over no instance would pass every check it did not run.
     """
     if not 1 <= k <= n:
         raise InvalidSampleSize(f"k={k} outside [1, {n}]")
+    if cases < 1:
+        raise InvalidConfig(f"cases must be at least 1, got {cases}")
     gen = np.random.default_rng(seed)
     errs: dict = {}
 

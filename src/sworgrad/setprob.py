@@ -36,11 +36,18 @@ R^{D \\ {s}}(S, s') = p^{D \\ {s, s'}}(S \\ {s, s'}) / p^{D \\ {s}}(S \\ {s}).
 alternating sum cancels share one quadrature grid.
 
 The kernels take a batch: B sets of one size, one per row of a (B, k)
-index array, with one exclusion per row.  ``exact`` builds one (B, 2^m)
-subset table for them all, keeps one ``math.fsum`` per query and row, and
-sends only the rows that cancel to quadrature, one row at a time; ``naive``
-and ``integral`` run row by row.
+index array, with one exclusion per row.  A call whose every query excludes
+every free element reaches no kernel: each answer is log 1 = 0.  ``exact``
+builds one (B, 2^m) subset table for them all, gathers the terms each query
+keeps with one fancy index per exclusion size, keeps one ``math.fsum`` per
+query and row, and sends only the rows that cancel to quadrature, one row at
+a time; ``naive`` and ``integral`` run row by row.
 ``loo_ratios`` of one set is the B = 1 row of the same computation.
+
+Indices are checked once, at the public boundary: ``loo_ratios`` and the
+``p_set_*`` functions check theirs with ``_split_sets``, and ``_loo_ratios``
+is the core that takes rows already checked, as the estimators' coefs
+functions hold them.
 
 ``p_set_naive``, ``p_set_exact`` and ``p_set_integral`` are the one-query
 forms of the same kernels: each asks for the single query that excludes
@@ -76,6 +83,13 @@ CANCELLATION_FLOOR = 1e-13
 # (timed at n = 64 and n = 1000, orders 1 and 2).
 _AUTO_EXACT_MAX_K = 10
 
+# Most entries one gather of the exact kernel's term table takes (at least one
+# query of one row).  Small blocks keep ``tolist``'s Python floats in cache:
+# on the README sweep's calls (256 rows, m <= 4) 2^12 entries ran about 7%
+# faster than 2^14, and one-row calls up to m = 8 still gather each
+# exclusion size at once.
+_GATHER_ENTRIES = 1 << 12
+
 
 @dataclass(frozen=True)
 class LooRatios:
@@ -99,6 +113,12 @@ def _math_exp(x: np.ndarray) -> np.ndarray:
     used.  numpy's vectorised exp differs from it in the last bit on some
     inputs, and fixed-seed outputs would move."""
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _math_log(x: np.ndarray) -> np.ndarray:
+    """math.log of every entry, as the scalar kernels took it (see
+    ``_math_exp``)."""
+    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _log_sum_exp_rows(values: np.ndarray) -> np.ndarray:
@@ -367,40 +387,85 @@ def _integral_restricted_logs(dist, S, rest, rel_excludes, nodes):
     return results
 
 
+def _kept_index(m: int, rels) -> np.ndarray:
+    """Where a query's terms sit in a row of the flattened (2, 2^m) term
+    table, for queries ``rels`` that each exclude r of the m positions: a
+    read-only (Q, 2^(m - r + 1)) array whose row q holds the masks c that
+    avoid every position of rels[q] (the high parts), then 2^m + c (the low
+    parts).  Position pos is bit pos of a mask; each excluded position, in
+    ascending order, gets a zero bit inserted into 0 .. 2^(m - r) - 1."""
+    r = len(rels[0])
+    excluded = np.sort(np.array(rels, dtype=int).reshape(len(rels), r), axis=1)
+    kept = np.broadcast_to(np.arange(1 << (m - r)), (len(rels), 1 << (m - r)))
+    for pos in excluded.T[:, :, None]:
+        kept = ((kept >> pos) << (pos + 1)) | (kept & ((1 << pos) - 1))
+    index = np.concatenate([kept, kept + (1 << m)], axis=1)
+    index.setflags(write=False)
+    return index
+
+
+def _gather_plan(m: int, rel_excludes):
+    """The queries that keep a free element, grouped by how many positions
+    they exclude, in chunks of at most ``_GATHER_ENTRIES`` kept terms per row
+    (one query at least): yields (query indices, ``_kept_index`` of them)."""
+    groups: dict = {}
+    for i, rel in enumerate(rel_excludes):
+        if len(rel) < m:
+            groups.setdefault(len(rel), []).append(i)
+    for r, ids in groups.items():
+        per_chunk = max(1, _GATHER_ENTRIES >> (m - r + 1))
+        for start in range(0, len(ids), per_chunk):
+            chunk = np.array(ids[start : start + per_chunk])
+            chunk.setflags(write=False)
+            yield chunk, _kept_index(m, [rel_excludes[i] for i in chunk])
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_gather_plan(m: int, rel_excludes: tuple) -> tuple:
+    """``_gather_plan``, kept for the tables ``auto`` builds
+    (m <= _AUTO_EXACT_MAX_K): at most 2^16 index entries per (m, queries).
+    Larger tables build theirs per call, where the fsum over each query's
+    2^(m - r + 1) terms dwarfs that."""
+    return tuple(_gather_plan(m, rel_excludes))
+
+
 def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
     """Shared-table inclusion-exclusion for every query of every row.
 
-    Builds one signed term table over the subsets of each row of ``rest``;
-    each query sums, with one math.fsum per row, the terms whose subset avoids
-    the excluded positions.  A row's queries that cancel below the floor are
-    answered together by one shared-grid quadrature of that row.
+    Builds one signed term table over the subsets of each row of ``rest``.
+    The terms whose subset avoids a query's excluded positions are taken
+    with one fancy index per exclusion size (``_gather_plan``) and summed
+    with one math.fsum per query and row; fsum is correctly rounded, so the
+    order of the terms does not matter.  Each block's logs are then taken
+    at once.  A row's queries that cancel below the floor are answered
+    together by one shared-grid quadrature of that row.
     """
     B, m = rest.shape
     if m > EXACT_MAX_K:
         raise TooManySubsets(f"|S \\ C| = {m} exceeds {EXACT_MAX_K}")
     m0 = _complement_masses(dist, S)
     mass_hi, mass_lo = _subset_masses(_math_exp(dist.log_probs[rest]))
-    # The signed terms of each row, high and low parts, with one axis of
-    # length 2 per free element: the bit of position pos in a subset's mask
-    # is axis m + 1 - pos.  A query's subsets are a view, its excluded axes
-    # taken at 0.
-    terms = _signed_quotients(m0[:, None], mass_hi, mass_lo, _subset_signs(m))
-    terms = terms.reshape((B, 2) + (2,) * m)
+    terms = _signed_quotients(m0[:, None], mass_hi, mass_lo, _subset_signs(m)).reshape(B, -1)
+    if m <= _AUTO_EXACT_MAX_K:
+        plan = _cached_gather_plan(m, tuple(rel_excludes))
+    else:
+        plan = _gather_plan(m, rel_excludes)
 
     logs = np.zeros((B, len(rel_excludes)))
     cancelled: dict = {}
-    for i, rel in enumerate(rel_excludes):
-        if len(rel) == m:
-            continue
-        index = [slice(None)] * (m + 2)
-        for pos in rel:
-            index[m + 1 - pos] = 0
-        for b, row in enumerate(terms[tuple(index)].reshape(B, -1).tolist()):
-            total = math.fsum(row)
-            if total < CANCELLATION_FLOOR:
-                cancelled.setdefault(b, []).append(i)
-            else:
-                logs[b, i] = min(math.log(total), 0.0)
+    for ids, index in plan:
+        rows_per_gather = max(1, _GATHER_ENTRIES // index.size)
+        for start in range(0, B, rows_per_gather):
+            block = terms[start : start + rows_per_gather, index]
+            rows, count = len(block), block.shape[0] * block.shape[1]
+            kept = block.reshape(count, -1).tolist()
+            totals = np.fromiter(map(math.fsum, kept), float, count).reshape(rows, -1)
+            cancel = totals < CANCELLATION_FLOOR
+            if cancel.any():
+                for b, q in zip(*np.nonzero(cancel)):
+                    cancelled.setdefault(start + int(b), []).append(int(ids[q]))
+                totals[cancel] = 1.0
+            logs[start : start + rows, ids] = np.minimum(_math_log(totals), 0.0)
     for b, queries in cancelled.items():
         requery = [rel_excludes[i] for i in queries]
         logs[b, queries] = _integral_restricted_logs(dist, S[b], rest[b], requery, nodes)
@@ -410,10 +475,13 @@ def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
 def _restricted_logs(dist, S, rest, rel_excludes, backend, nodes):
     """log p^{D \\ (C u rel)}(rest \\ rel) for each row and each query ``rel``
     (a tuple of positions into the row of ``rest`` = S \\ C), as a
-    (rows, queries) array from one backend's kernel.  ``auto`` is ``exact``
-    for up to _AUTO_EXACT_MAX_K free elements and ``integral`` beyond;
-    ``_split_sets`` has checked the name.  The exact kernel takes every row
-    at once; the others run row by row."""
+    (rows, queries) array from one backend's kernel.  When every query
+    excludes every free element, each answer is log 1 and no kernel runs.
+    ``auto`` is ``exact`` for up to _AUTO_EXACT_MAX_K free elements and
+    ``integral`` beyond; ``_split_sets`` has checked the name.  The exact
+    kernel takes every row at once; the others run row by row."""
+    if all(len(rel) == rest.shape[1] for rel in rel_excludes):
+        return np.zeros((len(rest), len(rel_excludes)))
     if backend == "auto":
         backend = "exact" if rest.shape[1] <= _AUTO_EXACT_MAX_K else "integral"
     if backend == "exact":
@@ -431,7 +499,7 @@ def _p_set(dist: CategoricalDist, S, C, backend: str, nodes: int = DEFAULT_NODES
     S, C, rest, _ = _split_sets(dist, _index_row(S, dist.n), C, backend, nodes)
     if not rest.shape[1] or S.shape[1] == dist.n:
         return 0.0
-    return float(_restricted_logs(dist, S, rest, [()], backend, nodes)[0, 0])
+    return float(_restricted_logs(dist, S, rest, ((),), backend, nodes)[0, 0])
 
 
 def p_set_naive(dist: CategoricalDist, S, C=()) -> float:
@@ -497,6 +565,30 @@ def loo_ratios(
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     S, exclude, rest, single = _split_sets(dist, S, exclude, backend, nodes)
+    lr = _loo_ratios(dist, S, rest, order, exclude, backend, nodes)
+    if single:
+        return LooRatios(
+            elements=lr.elements[0],
+            ratios=lr.ratios[0],
+            log_p_set=float(lr.log_p_set[0]),
+            second_order=None if lr.second_order is None else lr.second_order[0],
+        )
+    return lr
+
+
+def _loo_ratios(
+    dist: CategoricalDist,
+    S: np.ndarray,
+    rest: np.ndarray,
+    order: int,
+    exclude: np.ndarray = _NO_EXCLUDE,
+    backend: str = "auto",
+    nodes: int = DEFAULT_NODES,
+) -> LooRatios:
+    """``loo_ratios`` of checked rows, as a batch: S is a (B, k) array of
+    sorted sets, ``exclude`` is empty or (1 or B rows of) a set inside each,
+    and ``rest`` holds, sorted, the elements of each row of S outside it.
+    Nothing here checks an index, an order or a backend name."""
     B, m = rest.shape
     if m < 1:
         raise ValueError("need at least one element outside the excluded set")
@@ -524,12 +616,4 @@ def loo_ratios(
             second = np.ones((B, m, m))
             second[:, i, j] = _math_exp(logs[:, m:] - log_num[:, i])
             second[:, j, i] = _math_exp(logs[:, m:] - log_num[:, j])
-
-    if single:
-        return LooRatios(
-            elements=rest[0],
-            ratios=ratios[0],
-            log_p_set=float(log_p[0]),
-            second_order=None if second is None else second[0],
-        )
     return LooRatios(elements=rest, ratios=ratios, log_p_set=log_p, second_order=second)

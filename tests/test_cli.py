@@ -77,6 +77,13 @@ class TestCheck:
         rc = _run(["check", "--out", str(tmp_path / "r.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("cases", [0, -3])
+    def test_fewer_than_one_case_is_error(self, capsys, cases):
+        assert _run(["check", "--n", "4", "--k", "2", "--cases", str(cases)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cases must be at least 1, got {cases}\n"
+        assert captured.out == ""
+
     def test_sample_size_out_of_range_is_error(self, capsys):
         assert _run(["check", "--n", "3", "--k", "0", "--cases", "1"]) == 1
         assert _run(["check", "--n", "3", "--k", "4", "--cases", "1"]) == 1

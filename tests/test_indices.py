@@ -122,3 +122,51 @@ def test_bad_indices_raise_invalid_indices():
             if outcome:
                 failures.setdefault(name, outcome)
     assert not failures, "\n".join(f"{name}: {what}" for name, what in sorted(failures.items()))
+
+
+def test_each_public_call_checks_its_indices_once(monkeypatch):
+    """A public call makes one ``_index_rows`` pass.  The coefs functions take
+    rows already checked, so the toy harness's batched draws make none."""
+    from sworgrad import bench, distributions, setprob
+
+    passes = []
+    check = distributions._index_rows
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return check(*args, **kwargs)
+
+    for module in (distributions, est, setprob):
+        monkeypatch.setattr(module, "_index_rows", counted)
+    gen = np.random.default_rng(4)
+    dist = sg.from_logits(gen.normal(0.0, 1.0, 8))
+    f = gen.normal(0.0, 1.0, 8)
+    S, X = [1, 4, 6], [6, 1, 4]
+    sets, draws = np.array([S, [0, 2, 7]]), np.array([X, [7, 0, 2]])
+    calls = {
+        "uspg": lambda: sg.uspg(dist, S, f),
+        "uspg_baseline": lambda: sg.uspg_baseline(dist, S, f),
+        "stoch_sum_and_sample": lambda: sg.stoch_sum_and_sample(dist, X, f),
+        "stoch_sum_and_sample m = 2": lambda: sg.stoch_sum_and_sample(dist, X, f, m=2),
+        "posterior_weights": lambda: est.posterior_weights(dist, S),
+        "posterior_weights batch": lambda: est.posterior_weights(dist, sets),
+        "sum_and_sample_weights": lambda: est.sum_and_sample_weights(dist, X),
+        "sum_and_sample_weights batch": lambda: est.sum_and_sample_weights(dist, draws),
+        "loo_ratios": lambda: sg.loo_ratios(dist, S),
+        "loo_ratios order 2": lambda: sg.loo_ratios(dist, sets, order=2),
+    }
+    counts = {}
+    for name, call in calls.items():
+        passes.clear()
+        call()
+        counts[name] = len(passes)
+    assert counts == dict.fromkeys(calls, 1)
+
+    toy = bench.make_toy(-1.0)
+    for kind in ("unordered-set-pg", "unordered-set-pg-bl", "stoch-sum-and-sample-m1",
+                 "stoch-sum-and-sample-m2", "iw-pg-bl", "reinforce-wr-bl"):
+        spec = est.estimator_spec(kind)
+        u = gen.random((5, spec.law.uniforms(4, bench.DOMAIN)))
+        passes.clear()
+        bench._scalar_grads(spec, toy, 4, u)
+        assert not passes, kind

@@ -9,7 +9,7 @@ from conftest import random_dist
 from sworgrad import oracle, setprob
 from sworgrad import estimators as est
 from sworgrad.distributions import as_objective
-from sworgrad.errors import InvalidSampleSize, SpaceTooLarge
+from sworgrad.errors import InvalidConfig, InvalidSampleSize, SpaceTooLarge
 from sworgrad.setprob import p_set_exact, p_set_integral, p_set_naive
 
 
@@ -328,6 +328,12 @@ class TestThresholdQuadrature:
 
 
 class TestTheoremReport:
+    @pytest.mark.parametrize("cases", [0, -3])
+    def test_fewer_than_one_case_raises(self, cases):
+        """A report over no instance would pass every check it did not run."""
+        with pytest.raises(InvalidConfig, match=f"cases must be at least 1, got {cases}"):
+            oracle.theorem_report(n=4, k=2, cases=cases, seed=0)
+
     def test_all_checks_pass(self):
         report = oracle.theorem_report(n=4, k=2, cases=5, seed=0)
         assert report["all_passed"]

@@ -452,16 +452,19 @@ class TestSubsetTable:
     keeps the test's memory small."""
 
     @staticmethod
-    def _probabilities(kind, gen, B, m):
+    def _logits(kind, gen, n):
+        if kind == "uniform":
+            return np.zeros(n)
+        if kind == "lognormal":
+            return gen.normal(0.0, 20.0, n)
+        # floored: half the domain at PROB_FLOOR
+        return np.concatenate([np.full(n // 2, -1000.0), gen.normal(0.0, 1.0, n - n // 2)])
+
+    @classmethod
+    def _probabilities(cls, kind, gen, B, m):
         """(p_elems, m0) of B random m-sets of an (m + 3)-element domain."""
         n = m + 3
-        if kind == "uniform":
-            logits = np.zeros(n)
-        elif kind == "lognormal":
-            logits = gen.normal(0.0, 20.0, n)
-        else:  # floored: half the domain at PROB_FLOOR
-            logits = np.concatenate([np.full(n // 2, -1000.0), gen.normal(0.0, 1.0, n - n // 2)])
-        dist = from_logits(logits)
+        dist = from_logits(cls._logits(kind, gen, n))
         S = np.sort(np.array([gen.permutation(n)[:m] for _ in range(B)]), axis=1)
         return setprob._math_exp(dist.log_probs[S]), setprob._complement_masses(dist, S)[:, None]
 
@@ -483,3 +486,142 @@ class TestSubsetTable:
             if B << m <= 1 << 16:
                 terms = setprob._signed_quotients(m0, hi, lo, signs).reshape(B, -1)
                 assert terms.tobytes() == _doubling_terms(m0, want_hi, want_lo, signs).tobytes(), m
+
+
+def _per_query_logs(dist, S, rest, rel_excludes, nodes=setprob.DEFAULT_NODES):
+    """The exact kernel's query loop before the gathered form: each query
+    takes an (m + 2)-d view of the term table, its excluded axes at 0, and
+    copies it with ``reshape`` and ``tolist``."""
+    B, m = rest.shape
+    m0 = setprob._complement_masses(dist, S)
+    mass_hi, mass_lo = setprob._subset_masses(setprob._math_exp(dist.log_probs[rest]))
+    terms = setprob._signed_quotients(m0[:, None], mass_hi, mass_lo, setprob._subset_signs(m))
+    terms = terms.reshape((B, 2) + (2,) * m)
+    logs = np.zeros((B, len(rel_excludes)))
+    cancelled = {}
+    for i, rel in enumerate(rel_excludes):
+        if len(rel) == m:
+            continue
+        index = [slice(None)] * (m + 2)
+        for pos in rel:
+            index[m + 1 - pos] = 0
+        for b, row in enumerate(terms[tuple(index)].reshape(B, -1).tolist()):
+            total = math.fsum(row)
+            if total < setprob.CANCELLATION_FLOOR:
+                cancelled.setdefault(b, []).append(i)
+            else:
+                logs[b, i] = min(math.log(total), 0.0)
+    for b, queries in cancelled.items():
+        requery = [rel_excludes[i] for i in queries]
+        logs[b, queries] = setprob._integral_restricted_logs(dist, S[b], rest[b], requery, nodes)
+    return logs
+
+
+# The query sets of the kernel: p_set's one query, and loo_ratios' at order 1 and 2.
+_QUERIES = {
+    "p_set": lambda m: ((),),
+    "order 1": lambda m: setprob._loo_queries(m, 1)[0],
+    "order 2": lambda m: setprob._loo_queries(m, 2)[0],
+}
+
+
+class TestGatheredKernel:
+    """The exact kernel gathers the terms of all the queries of one exclusion
+    size with one fancy index; its logs equal the per-query loop above bit
+    for bit.  m runs up to EXACT_MAX_K while the table has at most 2^20
+    entries at B = 1 and 2^16 at B > 1, and the queries hold at most 2^21
+    terms per row-table entry: B = 1 reaches m = 20 for p_set and m = 16 at
+    order 1, where one query's terms fill more than one gather."""
+
+    @staticmethod
+    def _sets(kind, gen, B, m, c):
+        """dist, the sets S and their free elements: B random sets of m free
+        elements and c excluded ones, in an (m + c + 3)-element domain."""
+        n = m + c + 3
+        draws = np.array([gen.permutation(n)[: m + c] for _ in range(B)])
+        dist = from_logits(TestSubsetTable._logits(kind, gen, n))
+        return dist, np.sort(draws, axis=1), np.sort(draws[:, c:], axis=1)
+
+    @pytest.mark.parametrize("kind", ["uniform", "lognormal", "floored"])
+    @pytest.mark.parametrize("B", [1, 3, 256])
+    @pytest.mark.parametrize("queries", sorted(_QUERIES))
+    def test_matches_the_per_query_loop_bitwise(self, monkeypatch, kind, B, queries):
+        """Cancelled rows (most lognormal ones) get a stand-in quadrature
+        that names the row and the query, so that each answer must land in
+        its place; the next test runs the real one."""
+        def stand_in(dist, S, rest, rels, nodes):
+            return [-1.0 - int(S.sum()) - sum(2.0**-(p + 1) for p in rel) for rel in rels]
+
+        monkeypatch.setattr(setprob, "_integral_restricted_logs", stand_in)
+        gen = np.random.default_rng([B, len(kind), len(queries)])
+        for m in range(1, setprob.EXACT_MAX_K + 1):
+            rels = _QUERIES[queries](m)
+            if B << m > (1 << 20 if B == 1 else 1 << 16) or B * len(rels) << m > 1 << 21:
+                break
+            c = 2 * (m % 2)  # odd m exclude two more elements from each set
+            dist, S, rest = self._sets(kind, gen, B, m, c)
+            got = setprob._exact_restricted_logs(dist, S, rest, rels, setprob.DEFAULT_NODES)
+            assert got.tobytes() == _per_query_logs(dist, S, rest, rels).tobytes(), m
+            last = m
+        if B == 1:
+            assert last == {"p_set": setprob.EXACT_MAX_K, "order 1": 16, "order 2": 14}[queries]
+
+    @pytest.mark.parametrize("queries", ["order 1", "order 2"])
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_cancelled_rows_match_the_per_query_loop_bitwise(self, monkeypatch, queries, c):
+        """n = 1000 factorized rows whose sums cancel into quadrature, between
+        rows that do not (see TestBatchedKernel)."""
+        dist, beam = _sampled_set("n1000", 8)
+        by_prob = np.argsort(-dist.probs)
+        S = np.sort(np.array([by_prob[:8], beam, by_prob[8:16]]), axis=1)
+        rest = S[:, c:]
+        rels = _QUERIES[queries](8 - c)
+        requeried = []
+        integral = setprob._integral_restricted_logs
+
+        def counted(dist, S, rest, rels, nodes):
+            requeried.append(S.tolist())
+            return integral(dist, S, rest, rels, nodes)
+
+        monkeypatch.setattr(setprob, "_integral_restricted_logs", counted)
+        got = setprob._exact_restricted_logs(dist, S, rest, rels, setprob.DEFAULT_NODES)
+        assert requeried == [S[1].tolist()]
+        assert got.tobytes() == _per_query_logs(dist, S, rest, rels).tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("backend", ["auto", "naive", "exact", "integral"])
+    def test_queries_that_keep_nothing_reach_no_kernel(self, monkeypatch, order, backend):
+        """With one free element, every loo_ratios query excludes it: sets of
+        size 1, and sum-and-sample with split m = 1.  The answers are those
+        of the per-query loop, and no subset table is built."""
+        from sworgrad import estimators as est
+
+        gen = np.random.default_rng(5 + order)
+        dist = random_dist(gen, 7, scale=2.0)
+        draws = np.array([gen.permutation(7)[:4] for _ in range(5)])
+
+        def ratios(lr):
+            return (lr.ratios, lr.log_p_set, lr.second_order)
+
+        calls = {
+            "one set": lambda: ratios(loo_ratios(dist, [3], order, backend=backend)),
+            "sets of one": lambda: ratios(loo_ratios(dist, draws[:, :1], order, backend=backend)),
+            "exclusion": lambda: ratios(loo_ratios(dist, np.sort(draws, axis=1), order,
+                                                   backend=backend, exclude=draws[:, :3])),
+            "sum-and-sample": lambda: est.sum_and_sample_weights(dist, draws, 1),
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(setprob, "_restricted_logs",
+                          lambda dist, S, rest, rels, backend, nodes: _per_query_logs(dist, S, rest, rels))
+            want = {name: call() for name, call in calls.items()}
+
+        def refuse(*args):
+            raise AssertionError("a call whose queries keep nothing built a subset table")
+
+        monkeypatch.setattr(setprob, "_subset_masses", refuse)
+        for name, call in calls.items():
+            got = call()
+            for g, w in zip(got, want[name]):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), name
+        with pytest.raises(AssertionError, match="built a subset table"):
+            loo_ratios(dist, [2, 3], order, backend="exact")
