@@ -457,14 +457,14 @@ def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
         rows_per_gather = max(1, _GATHER_ENTRIES // index.size)
         for start in range(0, B, rows_per_gather):
             block = terms[start : start + rows_per_gather, index]
-            rows, count = len(block), block.shape[0] * block.shape[1]
-            kept = block.reshape(count, -1).tolist()
-            totals = np.fromiter(map(math.fsum, kept), float, count).reshape(rows, -1)
+            rows, queries = block.shape[:2]
+            kept = block.reshape(rows * queries, -1).tolist()
+            totals = np.fromiter(map(math.fsum, kept), float, rows * queries).reshape(rows, queries)
             cancel = totals < CANCELLATION_FLOOR
             if cancel.any():
                 for b, q in zip(*np.nonzero(cancel)):
                     cancelled.setdefault(start + int(b), []).append(int(ids[q]))
-                totals[cancel] = 1.0
+                totals[cancel] = 1.0  # log 0 holds their place until quadrature
             logs[start : start + rows, ids] = np.minimum(_math_log(totals), 0.0)
     for b, queries in cancelled.items():
         requery = [rel_excludes[i] for i in queries]
