@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -267,6 +268,25 @@ class VarianceReport:
         return groups
 
 
+def _int_field(key: str, value) -> int:
+    """A config integer: an int, or a float with no fraction (JSON may write
+    4 as 4.0).  A bool, a fraction, a non-finite float or a non-number
+    raises InvalidConfig naming ``key``, rather than being truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidConfig(f"{key} must be an integer, got {value!r}")
+
+
+def _float_field(key: str, value) -> float:
+    """A config number that must be finite; anything else (a bool, inf, nan
+    or a non-number) raises InvalidConfig naming ``key``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise InvalidConfig(f"{key} must be a finite number, got {value!r}")
+
+
 def _replicate(kind, eta, k, seed, replications) -> np.ndarray:
     """Replicates 0 .. replications-1 of one sweep cell, replicate r drawn
     from the stream (seed, r), in chunks of ``_CHUNK_REPLICATES``."""
@@ -284,16 +304,18 @@ def variance_sweep(config: dict) -> VarianceReport:
 
     Config keys: ``estimators`` (ids), ``k`` (list), ``eta`` (list),
     ``replications`` (at least 2; fewer raises InvalidConfig), ``seed``.
+    ``k``, ``replications`` and ``seed`` take whole numbers and ``eta``
+    finite ones; other values raise InvalidConfig naming the key.
     Replicate r draws from its own stream
     ``Rng(seed, (r,))``, the stream of ``Rng(seed).split(r)``.  A cell runs
     as chunks of replicates with one coefs call each; the chunk size changes
     no output, so reports are reproducible regardless of batching.
     """
     estimators = list(config["estimators"])
-    ks = [int(v) for v in config["k"]]
-    etas = [float(v) for v in config["eta"]]
-    replications = int(config.get("replications", 10**4))
-    seed = int(config.get("seed", 0))
+    ks = [_int_field("k", v) for v in config["k"]]
+    etas = [_float_field("eta", v) for v in config["eta"]]
+    replications = _int_field("replications", config.get("replications", 10**4))
+    seed = _int_field("seed", config.get("seed", 0))
     if replications < 2:
         raise InvalidConfig(f"replications must be at least 2, got {replications}")
 
@@ -354,7 +376,9 @@ def optimize(config: dict) -> OptRun:
     """Plain gradient descent on eta with a chosen gradient estimator.
 
     Config keys: ``estimator``, ``k``, ``eta0``, ``step_size``, ``steps``
-    (at least 0; fewer raises InvalidConfig), ``seed``.  Step t is
+    (at least 0; fewer raises InvalidConfig), ``seed``.  ``k``, ``steps``
+    and ``seed`` take whole numbers and ``eta0`` and ``step_size`` finite
+    ones; other values raise InvalidConfig naming the key.  Step t is
     ``toy_scalar_grad`` on the stream ``Rng(seed, (t,))``; the uniforms of
     ``_CHUNK_REPLICATES`` steps come from one ``spawn_uniforms`` call.  Each
     step's toy is built once, outside ``make_toy``'s cache, for the loss it
@@ -362,11 +386,11 @@ def optimize(config: dict) -> OptRun:
     [-DIVERGENCE_BOUND, DIVERGENCE_BOUND] are flagged and truncated.
     """
     kind = config["estimator"]
-    k = int(config.get("k", 1))
-    eta = float(config.get("eta0", 0.0))
-    lr = float(config.get("step_size", 0.1))
-    steps = int(config.get("steps", 500))
-    seed = int(config.get("seed", 0))
+    k = _int_field("k", config.get("k", 1))
+    eta = _float_field("eta0", config.get("eta0", 0.0))
+    lr = _float_field("step_size", config.get("step_size", 0.1))
+    steps = _int_field("steps", config.get("steps", 500))
+    seed = _int_field("seed", config.get("seed", 0))
     if steps < 0:
         raise InvalidConfig(f"steps must be at least 0, got {steps}")
 

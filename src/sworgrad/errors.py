@@ -20,9 +20,11 @@ class InvalidStreamKey(SworgradError, ValueError):
 
 
 class InvalidConfig(SworgradError, ValueError):
-    """A benchmark or check config value is out of range: fewer than two
-    replications of a variance sweep, a negative step count of an optimize
-    run, or fewer than one case of an identity-check report."""
+    """A benchmark or check config value is out of range or of the wrong
+    kind: fewer than two replications of a variance sweep, a negative step
+    count of an optimize run, fewer than one case of an identity-check
+    report, a fraction or a bool where a config wants an integer, or a
+    non-finite eta or step size."""
 
 
 class InvalidRestriction(SworgradError):

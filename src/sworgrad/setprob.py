@@ -41,7 +41,10 @@ every free element reaches no kernel: each answer is log 1 = 0.  ``exact``
 builds one (B, 2^m) subset table for them all, gathers the terms each query
 keeps with one fancy index per exclusion size, keeps one ``math.fsum`` per
 query and row, and sends only the rows that cancel to quadrature, one row at
-a time; ``naive`` and ``integral`` run row by row.
+a time; ``naive`` and ``integral`` run row by row.  A table of at most
+``_ROW_TABLE_MAX`` entries is built on Python floats instead, row by row,
+with the same float operations in the same order, so it has the same bytes
+without paying numpy's per-call cost on a few entries.
 ``loo_ratios`` of one set is the B = 1 row of the same computation.
 
 Indices are checked once, at the public boundary: ``loo_ratios`` and the
@@ -58,6 +61,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +93,15 @@ _AUTO_EXACT_MAX_K = 10
 # faster than 2^14, and one-row calls up to m = 8 still gather each
 # exclusion size at once.
 _GATHER_ENTRIES = 1 << 12
+
+# Term tables of at most this many entries (rows x 2^m) are built on Python
+# floats (``_row_terms``), larger ones with numpy.  A numpy table pays about
+# 30 calls whatever its size; the Python one pays per entry.  Timed per
+# table on a loaded 2-core host, Python floats against numpy: one row at
+# m = 4 took 34 us against 89 us, at m = 6 79 against 110 and at m = 7 124
+# against 125; six rows at m = 2 59 against 67, four rows at m = 4 103
+# against 94.
+_ROW_TABLE_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -281,6 +294,45 @@ def _signed_quotients(m0, mass_hi, mass_lo, signs):
     return terms
 
 
+@functools.lru_cache(maxsize=EXACT_MAX_K + 1)
+def _subset_sign_list(m: int) -> tuple:
+    """``_subset_signs(m)`` as a tuple of Python floats."""
+    return tuple(_subset_signs(m).tolist())
+
+
+def _row_terms(m0: float, p: list) -> list:
+    """One row of ``_signed_quotients(m0, *_subset_masses(p), signs)`` on
+    Python floats: the high parts of the 2^m terms, then the low parts.
+    It runs the same IEEE operations in the same order (the doubling loop
+    with TwoSum, then d = m0 + mass, q = m0 / d, the Veltkamp product, the
+    residual and the sign), so every term has the same bytes.  m0 >=
+    PROB_FLOOR keeps every division away from zero."""
+    hi, lo = [0.0, p[0]], [0.0, 0.0]
+    for b in p[1:]:
+        for a, a_lo in zip(hi[:], lo[:]):
+            s = a + b
+            bb = s - a
+            hi.append(s)
+            lo.append(a_lo + ((a - (s - bb)) + (b - bb)))
+    q_hi, q_lo = [], []
+    for mass, mass_lo, sign in zip(hi, lo, _subset_sign_list(len(p))):
+        d = m0 + mass
+        bb = d - m0
+        d_lo = ((m0 - (d - bb)) + (mass - bb)) + mass_lo
+        q = m0 / d
+        prod = q * d
+        c = 134217729.0 * q
+        qh = c - (c - q)
+        ql = q - qh
+        c = 134217729.0 * d
+        dh = c - (c - d)
+        dl = d - dh
+        prod_err = ((qh * dh - prod) + qh * dl + ql * dh) + ql * dl
+        q_hi.append(q * sign)
+        q_lo.append((((m0 - prod) - prod_err) - q * d_lo) / d * sign)
+    return q_hi + q_lo
+
+
 def _log1mexp(x: np.ndarray) -> np.ndarray:
     """log(1 - exp(x)) for x <= 0, stable across the whole range."""
     x = np.asarray(x, dtype=float)
@@ -429,20 +481,64 @@ def _cached_gather_plan(m: int, rel_excludes: tuple) -> tuple:
     return tuple(_gather_plan(m, rel_excludes))
 
 
+@functools.lru_cache(maxsize=64)
+def _row_getters(m: int, rel_excludes: tuple) -> tuple:
+    """(query index, getter) for each query that keeps a free element: the
+    getter takes the query's terms from a ``_row_terms`` list, at the
+    places ``_cached_gather_plan`` gathers them from a table row."""
+    return tuple(
+        (i, operator.itemgetter(*where))
+        for ids, index in _cached_gather_plan(m, rel_excludes)
+        for i, where in zip(ids.tolist(), index.tolist())
+    )
+
+
+def _row_logs(dist, S, rest, rel_excludes, nodes):
+    """``_exact_restricted_logs`` of a small table, built row by row on
+    Python floats with ``_row_terms``: one math.fsum and one math.log per
+    query and row, and one quadrature of each row's cancelled queries.
+    Every exp is libm's, as ``_complement_masses`` and ``_math_exp`` take
+    it for the numpy table."""
+    getters = _row_getters(rest.shape[1], tuple(rel_excludes))
+    log_m0 = _complement_log_masses(dist, S).tolist()
+    logs = []
+    for b, (row_log_m0, lp) in enumerate(zip(log_m0, dist.log_probs[rest].tolist())):
+        terms = _row_terms(math.exp(row_log_m0), list(map(math.exp, lp)))
+        row = [0.0] * len(rel_excludes)
+        cancelled = []
+        for i, getter in getters:
+            total = math.fsum(getter(terms))
+            if total < CANCELLATION_FLOOR:
+                cancelled.append(i)
+            else:
+                row[i] = min(math.log(total), 0.0)
+        if cancelled:
+            requery = [rel_excludes[i] for i in cancelled]
+            for i, value in zip(cancelled, _integral_restricted_logs(dist, S[b], rest[b], requery, nodes)):
+                row[i] = value
+        logs.append(row)
+    return np.array(logs)
+
+
 def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
     """Shared-table inclusion-exclusion for every query of every row.
 
     Builds one signed term table over the subsets of each row of ``rest``.
-    The terms whose subset avoids a query's excluded positions are taken
-    with one fancy index per exclusion size (``_gather_plan``) and summed
-    with one math.fsum per query and row; fsum is correctly rounded, so the
-    order of the terms does not matter.  Each block's logs are then taken
-    at once.  A row's queries that cancel below the floor are answered
-    together by one shared-grid quadrature of that row.
+    A table of at most ``_ROW_TABLE_MAX`` entries is built row by row on
+    Python floats, with the same operations as the numpy one, and each
+    query takes its terms with a cached getter (``_row_logs``).  Otherwise
+    the terms whose subset avoids a query's excluded positions are taken
+    with one fancy index per exclusion size (``_gather_plan``), and each
+    block's logs are taken at once.  Either way each query and row keeps
+    one math.fsum; fsum is correctly rounded, so the order of the terms
+    does not matter.  A row's queries that cancel below the floor are
+    answered together by one shared-grid quadrature of that row.
     """
     B, m = rest.shape
     if m > EXACT_MAX_K:
         raise TooManySubsets(f"|S \\ C| = {m} exceeds {EXACT_MAX_K}")
+    if B << m <= _ROW_TABLE_MAX:
+        return _row_logs(dist, S, rest, rel_excludes, nodes)
     m0 = _complement_masses(dist, S)
     mass_hi, mass_lo = _subset_masses(_math_exp(dist.log_probs[rest]))
     terms = _signed_quotients(m0[:, None], mass_hi, mass_lo, _subset_signs(m)).reshape(B, -1)

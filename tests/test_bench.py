@@ -400,3 +400,50 @@ class TestOptimize:
         assert lines[0] == bench.OPTIMIZE_CSV_VERSION
         assert lines[1] == "step,eta,loss"
         assert len(lines) == 6
+
+
+# Config values that int() or float() used to truncate or pass on: each must
+# raise InvalidConfig naming its key.
+_BAD_OPTIMIZE = [
+    ("k", 4.5, "an integer"), ("k", True, "an integer"), ("k", "4", "an integer"),
+    ("steps", 2.7, "an integer"), ("steps", True, "an integer"),
+    ("seed", 0.9, "an integer"), ("seed", float("nan"), "an integer"),
+    ("eta0", float("inf"), "a finite number"), ("eta0", float("nan"), "a finite number"),
+    ("eta0", False, "a finite number"), ("step_size", float("-inf"), "a finite number"),
+    ("step_size", "0.1", "a finite number"),
+]
+_BAD_SWEEP = [
+    ("k", [4.9], "an integer"), ("k", [2, False], "an integer"),
+    ("replications", 2.5, "an integer"), ("replications", True, "an integer"),
+    ("seed", 1.5, "an integer"), ("eta", [0.0, float("inf")], "a finite number"),
+    ("eta", [float("nan")], "a finite number"),
+]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("key, value, kind", _BAD_OPTIMIZE)
+    def test_optimize_rejects_what_it_used_to_truncate(self, key, value, kind):
+        config = {"estimator": "unordered-set-pg", "k": 4, "eta0": 0.0, "step_size": 0.1,
+                  "steps": 3, "seed": 0, key: value}
+        with pytest.raises(InvalidConfig, match=f"^{key} must be {kind}, got "):
+            bench.optimize(config)
+
+    @pytest.mark.parametrize("key, value, kind", _BAD_SWEEP)
+    def test_sweep_rejects_what_it_used_to_truncate(self, key, value, kind):
+        config = {"estimators": ["unordered-set-pg"], "k": [2], "eta": [0.0],
+                  "replications": 3, "seed": 0, key: value}
+        with pytest.raises(InvalidConfig, match=f"^{key} must be {kind}, got "):
+            bench.variance_sweep(config)
+
+    def test_whole_floats_and_numpy_numbers_run_as_before(self):
+        """JSON may write an integer as 4.0; a library caller may pass numpy
+        numbers.  Both give the bytes of the plain config."""
+        base = {"estimator": "unordered-set-pg", "k": 4, "eta0": 0.0, "step_size": 0.1,
+                "steps": 20, "seed": 3}
+        want = bench.optimize(base).to_csv()
+        assert bench.optimize({**base, "k": 4.0, "steps": 20.0, "seed": 3.0}).to_csv() == want
+        assert bench.optimize({**base, "k": np.int64(4), "eta0": np.float64(0.0)}).to_csv() == want
+        sweep = {"estimators": ["unordered-set-pg"], "k": [2], "eta": [0], "replications": 5,
+                 "seed": 1}
+        want = bench.variance_sweep(sweep).to_csv()
+        assert bench.variance_sweep({**sweep, "k": [2.0], "replications": 5.0}).to_csv() == want

@@ -210,6 +210,15 @@ class TestOptimize:
         assert captured.err == "error: steps must be at least 0, got -3\n"
         assert captured.out == ""
 
+    def test_fractional_k_is_error(self, tmp_path, capsys):
+        """``k: 4.5`` used to run at k = 4 and exit 0."""
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({"estimator": "unordered-set-pg", "k": 4.5, "steps": 5}))
+        assert _run(["optimize", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: k must be an integer, got 4.5\n"
+        assert captured.out == ""
+
     def test_csv_output(self, tmp_path):
         cfg = tmp_path / "opt.json"
         cfg.write_text(

@@ -449,7 +449,9 @@ class TestSubsetTable:
     equal the copying doubling loop above bit for bit.  Every m up to
     EXACT_MAX_K runs at B = 1; B = 3 and B = 256 run while the table has at
     most 2^20 entries, and the quotients while it has at most 2^16, which
-    keeps the test's memory small."""
+    keeps the test's memory small.  The Python-float row builder
+    ``_row_terms`` equals the same loop at B = 1 and B = 3, for every m up to
+    one past the largest table it builds."""
 
     @staticmethod
     def _logits(kind, gen, n):
@@ -483,9 +485,13 @@ class TestSubsetTable:
             assert hi.tobytes() == want_hi.tobytes(), m
             assert lo.tobytes() == want_lo.tobytes(), m
             assert setprob._subset_signs(m).tobytes() == signs.tobytes(), m
-            if B << m <= 1 << 16:
+            want_terms = _doubling_terms(m0, want_hi, want_lo, signs) if B << m <= 1 << 16 else None
+            if want_terms is not None:
                 terms = setprob._signed_quotients(m0, hi, lo, signs).reshape(B, -1)
-                assert terms.tobytes() == _doubling_terms(m0, want_hi, want_lo, signs).tobytes(), m
+                assert terms.tobytes() == want_terms.tobytes(), m
+            if B in (1, 3) and 1 << m <= 2 * setprob._ROW_TABLE_MAX:
+                rows = [setprob._row_terms(row_m0, row_p) for row_m0, row_p in zip(m0[:, 0].tolist(), p.tolist())]
+                assert np.array(rows).tobytes() == want_terms.tobytes(), m
 
 
 def _per_query_logs(dist, S, rest, rel_excludes, nodes=setprob.DEFAULT_NODES):
@@ -588,12 +594,65 @@ class TestGatheredKernel:
         assert requeried == [S[1].tolist()]
         assert got.tobytes() == _per_query_logs(dist, S, rest, rels).tobytes()
 
+    @pytest.mark.parametrize("queries", sorted(_QUERIES))
+    def test_small_tables_match_the_numpy_table_bitwise(self, monkeypatch, queries):
+        """A row alone, at most ``_ROW_TABLE_MAX`` table entries, is built on
+        Python floats; the same row repeated past the cut goes through the
+        numpy table.  Every row answers with the same bytes on both sides,
+        for m up to one past the cut, and so does a row of six of the least
+        probable of 1000 elements, whose sums cancel into quadrature."""
+        builds = []
+        row_terms, subset_masses = setprob._row_terms, setprob._subset_masses
+
+        def counted_rows(*args):
+            builds.append("rows")
+            return row_terms(*args)
+
+        def counted_numpy(*args):
+            builds.append("numpy")
+            return subset_masses(*args)
+
+        monkeypatch.setattr(setprob, "_row_terms", counted_rows)
+        monkeypatch.setattr(setprob, "_subset_masses", counted_numpy)
+        gen = np.random.default_rng(len(queries))
+        cases = []
+        for m in range(1, 8):
+            for kind in ("uniform", "lognormal", "floored"):
+                dist, S, rest = TestGatheredKernel._sets(kind, gen, 1, m, m % 2)
+                cases.append((dist, S, rest))
+        dist = from_logits(gen.normal(0.0, 1.0, 1000))
+        rare = np.sort(np.argsort(dist.probs)[:6])[None, :]
+        cases.append((dist, rare, rare))
+        for dist, S, rest in cases:
+            m = rest.shape[1]
+            rels = _QUERIES[queries](m)
+            copies = setprob._ROW_TABLE_MAX // (1 << m) + 1
+            builds.clear()
+            alone = setprob._exact_restricted_logs(dist, S, rest, rels, setprob.DEFAULT_NODES)
+            repeated = setprob._exact_restricted_logs(
+                dist, np.repeat(S, copies, axis=0), np.repeat(rest, copies, axis=0), rels,
+                setprob.DEFAULT_NODES)
+            assert builds == ["rows" if 1 << m <= setprob._ROW_TABLE_MAX else "numpy", "numpy"], m
+            assert repeated.tobytes() == np.repeat(alone, copies, axis=0).tobytes(), m
+            assert alone.tobytes() == _per_query_logs(dist, S, rest, rels).tobytes(), m
+        requeried = []
+        integral = setprob._integral_restricted_logs
+
+        def counted(dist, S, rest, rels, nodes):
+            requeried.append(len(rels))
+            return integral(dist, S, rest, rels, nodes)
+
+        monkeypatch.setattr(setprob, "_integral_restricted_logs", counted)
+        setprob._exact_restricted_logs(dist, rare, rare, _QUERIES[queries](6), setprob.DEFAULT_NODES)
+        assert requeried
+
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("backend", ["auto", "naive", "exact", "integral"])
     def test_queries_that_keep_nothing_reach_no_kernel(self, monkeypatch, order, backend):
         """With one free element, every loo_ratios query excludes it: sets of
         size 1, and sum-and-sample with split m = 1.  The answers are those
-        of the per-query loop, and no subset table is built."""
+        of the per-query loop, and no subset table is built, on Python
+        floats or with numpy."""
         from sworgrad import estimators as est
 
         gen = np.random.default_rng(5 + order)
@@ -619,6 +678,7 @@ class TestGatheredKernel:
             raise AssertionError("a call whose queries keep nothing built a subset table")
 
         monkeypatch.setattr(setprob, "_subset_masses", refuse)
+        monkeypatch.setattr(setprob, "_row_terms", refuse)
         for name, call in calls.items():
             got = call()
             for g, w in zip(got, want[name]):
