@@ -97,15 +97,23 @@ class CategoricalDist:
     """Normalized categorical distribution stored as log-probabilities.
 
     ``logits`` is kept when the distribution was built from a softmax
-    parameterization; gradient operations require it.  Instances are
-    immutable and safe for concurrent reads.
+    parameterization; gradient operations require it.  Every log-probability
+    must be finite: the kernels divide by the mass outside a set, which a
+    zero-probability entry (log p = -inf) can make 0, so such an entry raises
+    InvalidLogits.  Instances are immutable and safe for concurrent reads.
     """
 
     log_probs: np.ndarray
     logits: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "log_probs", _frozen(self.log_probs))
+        log_probs = _frozen(self.log_probs)
+        # One reduction: log_probs . log_probs is finite only if every entry
+        # is finite and below about 1e154 in size, and a larger one is a zero
+        # (or infinite) probability too.
+        if not math.isfinite(log_probs.dot(log_probs)):
+            raise InvalidLogits(f"log-probabilities must be finite, got {log_probs!r}")
+        object.__setattr__(self, "log_probs", log_probs)
         if self.logits is not None:
             object.__setattr__(self, "logits", _frozen(self.logits))
 
@@ -119,7 +127,12 @@ class CategoricalDist:
 
     @property
     def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
+        """exp(log_probs), computed on first use and shared: read-only."""
+        probs = self.__dict__.get("_probs")
+        if probs is None:
+            probs = self.__dict__["_probs"] = np.exp(self.log_probs)
+            probs.setflags(write=False)
+        return probs
 
     def log_prob(self, x: int) -> float:
         """log p(x), by plain numpy indexing: this accessor sits on internal
@@ -227,7 +240,7 @@ class FactorizedDist:
 
     The joint domain is indexed row-major: with per-dimension sizes
     (k_0, ..., k_{K-1}), the joint index of assignment (i_0, ..., i_{K-1}) is
-    sum_d i_d * prod_{d' > d} k_{d'}.
+    sum_d i_d * prod_{d' > d} k_{d'}.  Construction normalizes each dimension.
     """
 
     per_dim_logits: tuple = field()
@@ -240,6 +253,7 @@ class FactorizedDist:
             if d.ndim != 1 or d.size < 1 or not np.all(np.isfinite(d)):
                 raise InvalidLogits("each dimension needs a finite logits vector")
         object.__setattr__(self, "per_dim_logits", dims)
+        object.__setattr__(self, "_log_probs", tuple(_frozen(d - log_sum_exp(d)) for d in dims))
 
     @property
     def num_dims(self) -> int:
@@ -251,11 +265,11 @@ class FactorizedDist:
 
     @property
     def domain_size(self) -> int:
-        return int(np.prod(self.dim_sizes))
+        return math.prod(self.dim_sizes)
 
     def dim_log_probs(self, d: int) -> np.ndarray:
-        lg = self.per_dim_logits[d]
-        return lg - log_sum_exp(lg)
+        """The normalized log-probabilities of dimension d, shared: read-only."""
+        return self._log_probs[d]
 
     def index_to_assignment(self, idx: int) -> tuple:
         """The per-dimension assignment of joint index ``idx``; raises

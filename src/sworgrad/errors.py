@@ -6,7 +6,7 @@ class SworgradError(Exception):
 
 
 class InvalidLogits(SworgradError):
-    """Logits are non-finite or empty."""
+    """Logits or log-probabilities are non-finite or empty."""
 
 
 class InvalidIndices(SworgradError, ValueError):
@@ -40,7 +40,8 @@ class NoParameterization(SworgradError):
 
 
 class DomainTooLarge(SworgradError):
-    """A flattened or enumerated domain exceeds the configured cap."""
+    """A flattened or enumerated domain exceeds the configured cap, or a
+    beam-searched one has more outcomes than int64 joint indices hold."""
 
 
 class InvalidSampleSize(SworgradError):

@@ -31,6 +31,9 @@ from .setprob import p_set_exact, p_set_integral
 DOMAIN_CAP = 10**6
 SPACE_CAP = 10**6
 
+# Most (row, element) entries of the chain rule's not-yet-drawn mask at once.
+_MASK_ENTRIES = 2**20
+
 # Clip for the transformed quadrature variable: endpoint values stand in for
 # the (finite) endpoint limits of the integrands.
 _U_CLIP = 1e-12
@@ -62,15 +65,23 @@ def exact_gradient(dist: CategoricalDist, f) -> np.ndarray:
 
 def _chain_probs(probs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Chain-rule probability of each row of ``points`` as an ordered draw
-    without replacement: the product over j of p(b_j) / (1 - p(b_1) - ...
-    - p(b_{j-1})), taken one column at a time."""
-    acc = np.ones(len(points))
-    remaining = np.ones(len(points))
-    for col in points.T:
-        p = probs[col]
-        acc = acc * (p / remaining)
-        remaining = remaining - p
-    return acc
+    without replacement: the product over j of p(b_j) over the mass not yet
+    drawn, taken one column at a time.  Each denominator is the direct sum
+    of the probabilities not yet drawn, never 1 minus a running sum: that
+    difference cancels to 0 once the drawn elements hold all the float
+    mass.  Rows go in chunks, so the (rows, n) mask stays bounded."""
+    out = np.empty(len(points))
+    step = max(1, _MASK_ENTRIES // len(probs))
+    for start in range(0, len(points), step):
+        chunk = points[start:start + step]
+        left = np.ones((len(chunk), len(probs)), dtype=bool)
+        rows = np.arange(len(chunk))
+        acc = np.ones(len(chunk))
+        for col in chunk.T:
+            acc = acc * (probs[col] / np.where(left, probs, 0.0).sum(axis=1))
+            left[rows, col] = False
+        out[start:start + step] = acc
+    return out
 
 
 def _by_set(points: np.ndarray, values: np.ndarray):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import CategoricalDist, FactorizedDist
-from .errors import InvalidSampleSize, InvalidStreamKey
+from .errors import DomainTooLarge, InvalidSampleSize, InvalidStreamKey
 
 _U_FLOOR = np.nextafter(0.0, 1.0)
 
@@ -40,13 +40,13 @@ class OrderedSample:
         idx = np.asarray(self.indices, dtype=int)
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
-        if len(np.unique(idx)) != len(idx):
+        if len(set(idx.tolist())) != len(idx):
             raise ValueError("ordered sample indices must be distinct")
         if self.perturbed_logprobs is not None:
             g = np.asarray(self.perturbed_logprobs, dtype=float)
             g.setflags(write=False)
             object.__setattr__(self, "perturbed_logprobs", g)
-            if np.any(np.diff(g) >= 0):
+            if (g[1:] >= g[:-1]).any():
                 raise ValueError("perturbed log-probabilities must be strictly decreasing")
 
     @property
@@ -67,7 +67,7 @@ class UnorderedSample:
         idx = np.asarray(self.indices, dtype=int)
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
-        if np.any(np.diff(idx) <= 0):
+        if (idx[1:] <= idx[:-1]).any():
             raise ValueError("unordered sample indices must be strictly increasing")
 
     @property
@@ -303,16 +303,10 @@ def gumbel_perturb(rng: Rng, dist: CategoricalDist, size: int | None = None) -> 
 
 def _top_k_of(perturbed: np.ndarray, k: int):
     """Top-k indices per row by decreasing value; ties go to the lower index."""
-    order = np.argsort(-perturbed, axis=1, kind="stable")
-    n = perturbed.shape[1]
-    rows = np.arange(perturbed.shape[0])[:, None]
-    top = order[:, :k]
-    top_vals = perturbed[rows, top]
-    if k < n:
-        kappa = perturbed[rows[:, 0], order[:, k]]
-    else:
-        kappa = np.full(perturbed.shape[0], np.nan)
-    return top, top_vals, kappa
+    order = np.argsort(-perturbed, axis=1, kind="stable")[:, :k + 1]
+    vals = perturbed[np.arange(len(perturbed))[:, None], order]
+    kappa = vals[:, k] if k < perturbed.shape[1] else np.full(len(perturbed), np.nan)
+    return order[:, :k], vals[:, :k], kappa
 
 
 def _gumbel_top_k_rows(u: np.ndarray, dist: CategoricalDist, k: int):
@@ -361,12 +355,13 @@ def _conditioned_gumbels(target: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Shift sibling Gumbels so their maximum equals ``target``.
 
     Stable log-space form of -log(exp(-T) - exp(-Z) + exp(-g)) with
-    Z = max(g); the argmax maps exactly to T.
+    Z = max(g); the argmax maps exactly to T.  At the argmax the log1p term
+    is -inf, so callers run this under ``np.errstate(divide="ignore",
+    invalid="ignore")``.
     """
-    z = np.max(g, axis=-1, keepdims=True)
+    z = g.max(axis=-1, keepdims=True)
     t = target[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = t - g + np.log1p(-np.exp(g - z))
+    v = t - g + np.log1p(-np.exp(g - z))
     return t - np.maximum(v, 0.0) - np.log1p(np.exp(-np.abs(v)))
 
 
@@ -378,44 +373,42 @@ def stochastic_beam_search(rng: Rng, fd: FactorizedDist, k: int, size: int | Non
     Gumbels conditioned on their maximum matching the parent's perturbed
     value, and keeping the top k+1 partial sequences (the extra slot yields
     the exact threshold).  Returns ``(OrderedSample, Threshold)``, or the
-    batched triple ``(indices, perturbed_values, kappas)``.
+    batched triple ``(indices, perturbed_values, kappas)``.  Raises
+    DomainTooLarge when the domain has more than 2^63 outcomes, whose
+    joint indices would not fit int64.
     """
     n_total = fd.domain_size
     _check_k(k, n_total)
+    if n_total > 2**63:
+        raise DomainTooLarge(
+            f"product domain has {n_total} outcomes; joint indices fit at most 2^63"
+        )
     m = 1 if size is None else size
     width_target = min(k + 1, n_total)
+    rows = np.arange(m)[:, None]
 
     # Root: total log-probability 0, perturbed value a standard Gumbel draw.
     logp = np.zeros((m, 1))
     gum = _gumbel(rng.generator.random((m, 1)))
     joint = np.zeros((m, 1), dtype=np.int64)
 
-    for d in range(fd.num_dims):
-        lp_dim = fd.dim_log_probs(d)
-        c = len(lp_dim)
-        w = logp.shape[1]
-        cand_logp = logp[:, :, None] + lp_dim[None, None, :]
-        noise = _gumbel(rng.generator.random((m, w, c)))
-        g = cand_logp + noise
-        g_cond = _conditioned_gumbels(gum, g)
-
-        cand_logp = cand_logp.reshape(m, w * c)
-        g_cond = g_cond.reshape(m, w * c)
-        cand_joint = (joint[:, :, None] * c + np.arange(c)[None, None, :]).reshape(m, w * c)
-
-        keep = min(width_target, w * c)
-        top, vals, _ = _top_k_of(g_cond, keep)
-        rows = np.arange(m)[:, None]
-        logp = cand_logp[rows, top]
-        gum = vals
-        joint = cand_joint[rows, top]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in range(fd.num_dims):
+            lp_dim = fd.dim_log_probs(d)
+            c = len(lp_dim)
+            w = logp.shape[1]
+            cand_logp = logp[:, :, None] + lp_dim
+            g = cand_logp + _gumbel(rng.generator.random((m, w, c)))
+            g_cond = _conditioned_gumbels(gum, g).reshape(m, w * c)
+            # Top candidates by decreasing value; ties go to the lower index.
+            top = np.argsort(-g_cond, axis=1, kind="stable")[:, :width_target]
+            gum = g_cond[rows, top]
+            logp = cand_logp.reshape(m, w * c)[rows, top]
+            joint = joint[rows, top // c] * c + top % c
 
     idx = joint[:, :k]
     vals = gum[:, :k]
-    if gum.shape[1] > k:
-        kappa = gum[:, k]
-    else:
-        kappa = np.full(m, np.nan)
+    kappa = gum[:, k] if gum.shape[1] > k else np.full(m, np.nan)
     if size is not None:
         return idx, vals, kappa
     threshold = Threshold(None) if k == n_total else Threshold(float(kappa[0]))

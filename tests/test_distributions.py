@@ -67,6 +67,22 @@ class TestFromLogits:
         assert abs(np.sum(np.exp(d.log_probs)) - 1.0) < 1e-12
 
 
+class TestCategoricalDist:
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan, math.inf])
+    def test_non_finite_log_prob_rejected(self, bad):
+        """A zero-probability entry used to reach the exact kernel, which
+        divided by a zero outside mass (ZeroDivisionError or NaN ratios)."""
+        with pytest.raises(InvalidLogits):
+            CategoricalDist(log_probs=np.array([math.log(0.5), math.log(0.5), bad]))
+
+    def test_probs_are_cached_and_read_only(self):
+        d = from_logits([0.3, -1.2, 2.0])
+        assert d.probs is d.probs
+        np.testing.assert_array_equal(d.probs, np.exp(d.log_probs))
+        with pytest.raises(ValueError):
+            d.probs[0] = 1.0
+
+
 class TestRestrictedLogProb:
     def test_empty_restriction(self, running_dist):
         assert restricted_log_prob(running_dist, (), 1) == running_dist.log_prob(1)
@@ -194,6 +210,25 @@ class TestFactorizedDist:
         fd = FactorizedDist(tuple(np.zeros(10) for _ in range(7)))
         with pytest.raises(DomainTooLarge):
             fd.flatten()
+
+    def test_domain_size_is_exact(self):
+        """np.prod wrapped at 2^64: these read 0 and 7766279631452241920."""
+        assert FactorizedDist(tuple(np.zeros(2) for _ in range(64))).domain_size == 2**64
+        assert FactorizedDist(tuple(np.zeros(10) for _ in range(20))).domain_size == 10**20
+
+    def test_flatten_cap_holds_past_int64(self):
+        fd = FactorizedDist(tuple(np.zeros(2) for _ in range(64)))
+        with pytest.raises(DomainTooLarge):
+            fd.flatten()
+
+    def test_dim_log_probs_are_normalized_once_and_read_only(self):
+        fd = FactorizedDist((np.array([0.1, -0.7, 2.0]), np.array([3.0, 1.0])))
+        for d, logits in enumerate(fd.per_dim_logits):
+            lp = fd.dim_log_probs(d)
+            assert lp is fd.dim_log_probs(d)
+            np.testing.assert_array_equal(lp, from_logits(logits).log_probs)
+            with pytest.raises(ValueError):
+                lp[0] = 0.0
 
 
 class TestSerialization:

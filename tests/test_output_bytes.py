@@ -1,5 +1,6 @@
 """SHA-256 digests of ``variance`` and ``optimize`` CLI outputs, one config
-per sampling law.  Any change to a replicate's stream, its draw or its
+per sampling law, and of ``stochastic_beam_search`` and
+``FactorizedDist.flatten`` outputs on a few factorized domains.  Any change to a replicate's stream, its draw or its
 arithmetic moves these bytes; a change that moves them on purpose must say
 so and update the digests.
 
@@ -9,8 +10,10 @@ each optimize run 300 steps, so both cross a chunk boundary.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+import sworgrad as sg
 from sworgrad import cli
 
 # (estimator, valid ks): one id per sampling law of the estimator table.
@@ -78,3 +81,73 @@ def test_optimize_bytes(tmp_path, kind, ks, eta0):
     config = {"estimator": kind, "k": ks[0], "eta0": eta0, "step_size": 0.1,
               "steps": 300, "seed": 11}
     assert _digest(tmp_path, "optimize", config) == OPTIMIZE_SHA256[(kind, eta0)]
+
+
+# Factorized domains for the beam-search digests: per-dimension sizes and the
+# logit scale.  Small domains run every k up to the domain size; the 10 x 10 x
+# 10 domain (the n = 1000 policy-gradient domain's shape) runs a few.
+BEAM_LAYOUTS = [
+    ((4,), 1.0, None),
+    ((2, 3), 5.0, None),
+    ((3, 1, 4), 1.0, None),
+    ((1, 5), 30.0, None),
+    ((2, 2, 2, 2), 5.0, None),
+    ((6, 7), 30.0, None),
+    ((10, 10, 10), 1.0, (1, 2, 8, 20)),
+]
+
+BEAM_SHA256 = {
+    (4,): "4846bb1b7caa0c40b9d535d840574cbab02340bad0ee3b66cf654212f96ecaf7",
+    (2, 3): "27ec397da8ebf0473c364edc5f7c91cfd268a79f046fb0caac357c634efcade4",
+    (3, 1, 4): "dd89a86e8971c54e60fb16fc26945f7789d34c307427b8fba000ed600b7b19bd",
+    (1, 5): "7544c0ad6b5d1685e0782db15c8b008a9a54eafd9bcbae43583f098b2cfbc22f",
+    (2, 2, 2, 2): "2fd4d54c1d0a78a9bf9cd898ac053add5ec78973942622c9b233e600ee1f638d",
+    (6, 7): "27b1949691b501c64a8e5edef743fc4dddace924ac9bf8a1d0e6888dafc62fdf",
+    (10, 10, 10): "223ee232fc85bb6cb128d802018b6dab2c9d17628d1d04e4494c5ab097198365",
+}
+
+FLATTEN_SHA256 = {
+    (4,): "c1b68d938267f0a321f54ae67b0c3fb9051ea7fb1db30cfafab398ff95f1625c",
+    (2, 3): "2be9aefcdf2c3c05da081f2c67c1edd52c43faa1a856d3b9f2e9a4d026855b61",
+    (3, 1, 4): "fa9c1ea673e8b4eabeddd9baed084dcb34f5d0b17d0d19114f7d56ede5985ca5",
+    (1, 5): "96c079796b63d9fe2717c04734d84b1d41a00822b2ac31772c2b99062af490fb",
+    (2, 2, 2, 2): "6c71caeed27dd36fd80ad75b8f49d705a24ddeac6b5cce7922f182b5a8748ccf",
+    (6, 7): "3ee8e468119c510f314ab341a44119cfc7cb6bc38e0b0866818f8efd2fef8433",
+    (10, 10, 10): "b6a3963788a22dd743eeba8865cd3791026df7c555f3c1182d8852486989a33e",
+}
+
+
+def _beam_domain(layout_id: int):
+    sizes, scale, ks = BEAM_LAYOUTS[layout_id]
+    gen = np.random.default_rng(layout_id)
+    fd = sg.FactorizedDist(tuple(gen.normal(0.0, scale, s) for s in sizes))
+    return fd, ks or range(1, fd.domain_size + 1)
+
+
+def _beam_digest(fd, ks) -> str:
+    h = hashlib.sha256()
+    for k in ks:
+        sample, threshold = sg.stochastic_beam_search(sg.Rng(100 + k), fd, k)
+        h.update(np.asarray(sample.indices, dtype="<i8").tobytes())
+        h.update(np.asarray(sample.perturbed_logprobs, dtype="<f8").tobytes())
+        h.update(repr(threshold.kappa).encode())
+        for size in (1, 3):
+            idx, vals, kappa = sg.stochastic_beam_search(sg.Rng(200 + k), fd, k, size=size)
+            for arr, dtype in ((idx, "<i8"), (vals, "<f8"), (kappa, "<f8")):
+                h.update(np.asarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("layout_id", range(len(BEAM_LAYOUTS)))
+def test_beam_search_bytes(layout_id):
+    fd, ks = _beam_domain(layout_id)
+    assert _beam_digest(fd, ks) == BEAM_SHA256[BEAM_LAYOUTS[layout_id][0]]
+
+
+@pytest.mark.parametrize("layout_id", range(len(BEAM_LAYOUTS)))
+def test_flatten_bytes(layout_id):
+    fd, _ = _beam_domain(layout_id)
+    flat = fd.flatten()
+    h = hashlib.sha256(np.asarray(flat.log_probs, dtype="<f8").tobytes())
+    h.update(np.asarray(flat.logits, dtype="<f8").tobytes())
+    assert h.hexdigest() == FLATTEN_SHA256[BEAM_LAYOUTS[layout_id][0]]

@@ -8,7 +8,7 @@ from scipy.stats import chi2_contingency, chisquare
 
 import sworgrad as sg
 from sworgrad import Rng, gumbel_perturb, gumbel_top_k, sequential_swor, stochastic_beam_search
-from sworgrad.errors import InvalidSampleSize, InvalidStreamKey, SworgradError
+from sworgrad.errors import DomainTooLarge, InvalidSampleSize, InvalidStreamKey, SworgradError
 from sworgrad.oracle import enumerate_ordered
 from sworgrad.sampling import spawn_uniforms
 
@@ -260,6 +260,28 @@ class TestStochasticBeamSearch:
         fd = sg.FactorizedDist((np.zeros(2), np.zeros(2)))
         with pytest.raises(InvalidSampleSize):
             stochastic_beam_search(Rng(0), fd, 5)
+
+    @pytest.mark.parametrize("sizes", [(10,) * 20, (2,) * 64])
+    def test_domain_past_int64_raises(self, sizes):
+        """Joint indices are int64; these domains used to return negative
+        indices (10^20) or fail the k check on a wrapped size of 0 (2^64)."""
+        fd = sg.FactorizedDist(tuple(np.zeros(s) for s in sizes))
+        for size in (None, 3):
+            with pytest.raises(DomainTooLarge):
+                stochastic_beam_search(Rng(0), fd, 4, size=size)
+
+    @pytest.mark.parametrize("sizes", [(10,) * 10, (2,) * 63])
+    def test_large_domains_within_int64(self, sizes):
+        """10^10 outcomes and the largest int64 domain, 2^63, still sample."""
+        gen = np.random.default_rng(19)
+        fd = sg.FactorizedDist(tuple(gen.normal(0.0, 1.0, s) for s in sizes))
+        idx, vals, kappa = stochastic_beam_search(Rng(19), fd, 5, size=4)
+        assert idx.min() >= 0
+        assert all(len(set(row)) == 5 for row in idx.tolist())
+        assert np.all(np.diff(vals, axis=1) < 0) and np.all(kappa < vals[:, -1])
+        for row in idx.tolist():
+            for i in row:
+                assert fd.assignment_to_index(fd.index_to_assignment(i)) == i
 
 
 class TestSampleTypes:
