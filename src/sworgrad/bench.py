@@ -121,7 +121,9 @@ def _build_toy(eta: float) -> BernoulliToy:
     hi, lo = (hi + hi) + hi, (lo + lo) + lo  # the joint's largest and smallest entries
     log_z = hi + math.log(np.exp(joint - hi).sum())
     if lo - log_z >= LOG_PROB_FLOOR:
-        flat = CategoricalDist(log_probs=joint - log_z, logits=joint)
+        log_probs = joint - log_z
+        log_probs.setflags(write=False)  # fresh, so CategoricalDist need not copy it
+        flat = CategoricalDist(log_probs=log_probs, logits=joint)
     else:
         flat = from_logits(joint)
     probs = flat.probs

@@ -87,8 +87,13 @@ def _index_row(sample, n: int, *, sets: bool = True, ordered: bool = False) -> n
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only float array.  An array that owns its data and is
+    read-only already is kept; anything else is copied, so the caller's own
+    array never turns read-only."""
     a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
     return a
 
 
@@ -246,7 +251,7 @@ class FactorizedDist:
     per_dim_logits: tuple = field()
 
     def __post_init__(self):
-        dims = tuple(_frozen(np.asarray(d, dtype=float)) for d in self.per_dim_logits)
+        dims = tuple(map(_frozen, self.per_dim_logits))
         if not dims:
             raise InvalidLogits("need at least one dimension")
         for d in dims:

@@ -39,7 +39,7 @@ The kernels take a batch: B sets of one size, one per row of a (B, k)
 index array, with one exclusion per row.  A call whose every query excludes
 every free element reaches no kernel: each answer is log 1 = 0.  ``exact``
 builds one (B, 2^m) subset table for them all, gathers the terms each query
-keeps with one fancy index per exclusion size, keeps one ``math.fsum`` per
+keeps (``_query_positions``) once per query, keeps one ``math.fsum`` per
 query and row, and sends only the rows that cancel to quadrature, one row at
 a time; ``naive`` and ``integral`` run row by row.  A table of at most
 ``_ROW_TABLE_MAX`` entries is built on Python floats instead, row by row,
@@ -87,13 +87,6 @@ CANCELLATION_FLOOR = 1e-13
 # (timed at n = 64 and n = 1000, orders 1 and 2).
 _AUTO_EXACT_MAX_K = 10
 
-# Most entries one gather of the exact kernel's term table takes (at least one
-# query of one row).  Small blocks keep ``tolist``'s Python floats in cache:
-# on the README sweep's calls (256 rows, m <= 4) 2^12 entries ran about 7%
-# faster than 2^14, and one-row calls up to m = 8 still gather each
-# exclusion size at once.
-_GATHER_ENTRIES = 1 << 12
-
 # Term tables of at most this many entries (rows x 2^m) are built on Python
 # floats (``_row_terms``), larger ones with numpy.  A numpy table pays about
 # 30 calls whatever its size; the Python one pays per entry.  Timed per
@@ -126,12 +119,6 @@ def _math_exp(x: np.ndarray) -> np.ndarray:
     used.  numpy's vectorised exp differs from it in the last bit on some
     inputs, and fixed-seed outputs would move."""
     return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _math_log(x: np.ndarray) -> np.ndarray:
-    """math.log of every entry, as the scalar kernels took it (see
-    ``_math_exp``)."""
-    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _log_sum_exp_rows(values: np.ndarray) -> np.ndarray:
@@ -195,7 +182,10 @@ def _split_sets(dist: CategoricalDist, S, C, backend: str, nodes: int):
 
 
 def _naive_restricted_logs(dist, S, rest, rel_excludes):
-    """Chain-rule sums over the orderings of the elements each query keeps."""
+    """Chain-rule sums over the orderings of the elements each query keeps.
+    Each denominator is m0 plus the fsum of the kept probabilities not yet
+    drawn: 1 minus a running sum cancels once a drawn element holds almost
+    all the mass."""
     free = len(rest) - min(len(rel) for rel in rel_excludes)
     if free > NAIVE_MAX_K:
         raise TooManyPermutations(f"|S \\ C| = {free} exceeds {NAIVE_MAX_K}")
@@ -208,14 +198,12 @@ def _naive_restricted_logs(dist, S, rest, rel_excludes):
             results.append(0.0)
             continue
         p_kept = {s: math.exp(lp[s]) for s in kept}
-        mass_kept = math.fsum(p_kept.values())
         ordering_logs = []
         for perm in itertools.permutations(kept):
+            p_perm = [p_kept[b] for b in perm]
             acc = 0.0
-            remaining = mass_kept
-            for b in perm:
-                acc += float(lp[b]) - math.log(m0 + remaining)
-                remaining -= p_kept[b]
+            for t, b in enumerate(perm):
+                acc += float(lp[b]) - math.log(m0 + math.fsum(p_perm[t:]))
             ordering_logs.append(acc)
         results.append(min(log_sum_exp(np.array(ordering_logs)), 0.0))
     return results
@@ -439,57 +427,34 @@ def _integral_restricted_logs(dist, S, rest, rel_excludes, nodes):
     return results
 
 
-def _kept_index(m: int, rels) -> np.ndarray:
-    """Where a query's terms sit in a row of the flattened (2, 2^m) term
-    table, for queries ``rels`` that each exclude r of the m positions: a
-    read-only (Q, 2^(m - r + 1)) array whose row q holds the masks c that
-    avoid every position of rels[q] (the high parts), then 2^m + c (the low
-    parts).  Position pos is bit pos of a mask; each excluded position, in
-    ascending order, gets a zero bit inserted into 0 .. 2^(m - r) - 1."""
-    r = len(rels[0])
-    excluded = np.sort(np.array(rels, dtype=int).reshape(len(rels), r), axis=1)
-    kept = np.broadcast_to(np.arange(1 << (m - r)), (len(rels), 1 << (m - r)))
-    for pos in excluded.T[:, :, None]:
-        kept = ((kept >> pos) << (pos + 1)) | (kept & ((1 << pos) - 1))
-    index = np.concatenate([kept, kept + (1 << m)], axis=1)
-    index.setflags(write=False)
-    return index
-
-
-def _gather_plan(m: int, rel_excludes):
-    """The queries that keep a free element, grouped by how many positions
-    they exclude, in chunks of at most ``_GATHER_ENTRIES`` kept terms per row
-    (one query at least): yields (query indices, ``_kept_index`` of them)."""
-    groups: dict = {}
+@functools.lru_cache(maxsize=64)
+def _query_positions(m: int, rel_excludes: tuple) -> tuple:
+    """(query index, positions) for each query that keeps a free element:
+    where its terms sit in one row of the flattened (2, 2^m) term table,
+    high parts first, then low parts.  The positions are a read-only view of
+    that table's flat indices with the axis of each excluded position (axis
+    m - pos) taken at 0.  Cached for the tables ``auto`` builds
+    (m <= _AUTO_EXACT_MAX_K); larger tables call ``__wrapped__`` and build
+    theirs per call."""
+    table = np.arange(2 << m).reshape((2,) + (2,) * m)
+    table.setflags(write=False)
+    positions = []
     for i, rel in enumerate(rel_excludes):
         if len(rel) < m:
-            groups.setdefault(len(rel), []).append(i)
-    for r, ids in groups.items():
-        per_chunk = max(1, _GATHER_ENTRIES >> (m - r + 1))
-        for start in range(0, len(ids), per_chunk):
-            chunk = np.array(ids[start : start + per_chunk])
-            chunk.setflags(write=False)
-            yield chunk, _kept_index(m, [rel_excludes[i] for i in chunk])
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_gather_plan(m: int, rel_excludes: tuple) -> tuple:
-    """``_gather_plan``, kept for the tables ``auto`` builds
-    (m <= _AUTO_EXACT_MAX_K): at most 2^16 index entries per (m, queries).
-    Larger tables build theirs per call, where the fsum over each query's
-    2^(m - r + 1) terms dwarfs that."""
-    return tuple(_gather_plan(m, rel_excludes))
+            index = [slice(None)] * (m + 1)
+            for pos in rel:
+                index[m - pos] = 0
+            positions.append((i, table[tuple(index)]))
+    return tuple(positions)
 
 
 @functools.lru_cache(maxsize=64)
 def _row_getters(m: int, rel_excludes: tuple) -> tuple:
     """(query index, getter) for each query that keeps a free element: the
-    getter takes the query's terms from a ``_row_terms`` list, at the
-    places ``_cached_gather_plan`` gathers them from a table row."""
+    getter takes the query's terms from a ``_row_terms`` list, at its
+    ``_query_positions``."""
     return tuple(
-        (i, operator.itemgetter(*where))
-        for ids, index in _cached_gather_plan(m, rel_excludes)
-        for i, where in zip(ids.tolist(), index.tolist())
+        (i, operator.itemgetter(*where.ravel().tolist())) for i, where in _query_positions(m, rel_excludes)
     )
 
 
@@ -524,15 +489,15 @@ def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
     """Shared-table inclusion-exclusion for every query of every row.
 
     Builds one signed term table over the subsets of each row of ``rest``.
-    A table of at most ``_ROW_TABLE_MAX`` entries is built row by row on
-    Python floats, with the same operations as the numpy one, and each
-    query takes its terms with a cached getter (``_row_logs``).  Otherwise
-    the terms whose subset avoids a query's excluded positions are taken
-    with one fancy index per exclusion size (``_gather_plan``), and each
-    block's logs are taken at once.  Either way each query and row keeps
-    one math.fsum; fsum is correctly rounded, so the order of the terms
-    does not matter.  A row's queries that cancel below the floor are
-    answered together by one shared-grid quadrature of that row.
+    A query keeps the terms whose subset avoids its excluded positions, at
+    its ``_query_positions``.  A table of at most ``_ROW_TABLE_MAX`` entries
+    is built row by row on Python floats, with the same operations as the
+    numpy one, and each query takes its terms with a getter (``_row_logs``).
+    Otherwise each query takes its terms of every row with one gather.
+    Either way each query and row keeps one math.fsum; fsum is correctly
+    rounded, so the order of the terms does not matter.  A row's queries
+    that cancel below the floor are answered together by one shared-grid
+    quadrature of that row.
     """
     B, m = rest.shape
     if m > EXACT_MAX_K:
@@ -542,26 +507,18 @@ def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
     m0 = _complement_masses(dist, S)
     mass_hi, mass_lo = _subset_masses(_math_exp(dist.log_probs[rest]))
     terms = _signed_quotients(m0[:, None], mass_hi, mass_lo, _subset_signs(m)).reshape(B, -1)
-    if m <= _AUTO_EXACT_MAX_K:
-        plan = _cached_gather_plan(m, tuple(rel_excludes))
-    else:
-        plan = _gather_plan(m, rel_excludes)
-
-    logs = np.zeros((B, len(rel_excludes)))
+    positions = _query_positions if m <= _AUTO_EXACT_MAX_K else _query_positions.__wrapped__
+    columns = [[0.0] * B] * len(rel_excludes)
     cancelled: dict = {}
-    for ids, index in plan:
-        rows_per_gather = max(1, _GATHER_ENTRIES // index.size)
-        for start in range(0, B, rows_per_gather):
-            block = terms[start : start + rows_per_gather, index]
-            rows, queries = block.shape[:2]
-            kept = block.reshape(rows * queries, -1).tolist()
-            totals = np.fromiter(map(math.fsum, kept), float, rows * queries).reshape(rows, queries)
-            cancel = totals < CANCELLATION_FLOOR
-            if cancel.any():
-                for b, q in zip(*np.nonzero(cancel)):
-                    cancelled.setdefault(start + int(b), []).append(int(ids[q]))
-                totals[cancel] = 1.0  # log 0 holds their place until quadrature
-            logs[start : start + rows, ids] = np.minimum(_math_log(totals), 0.0)
+    for i, where in positions(m, tuple(rel_excludes)):
+        totals = list(map(math.fsum, terms.take(where, axis=1).reshape(B, -1).tolist()))
+        if min(totals) < CANCELLATION_FLOOR:
+            for b, total in enumerate(totals):
+                if total < CANCELLATION_FLOOR:
+                    cancelled.setdefault(b, []).append(i)
+                    totals[b] = 1.0  # log 1 = 0 holds its place until quadrature
+        columns[i] = list(map(math.log, totals))
+    logs = np.minimum(np.array(columns).T, 0.0, order="C")
     for b, queries in cancelled.items():
         requery = [rel_excludes[i] for i in queries]
         logs[b, queries] = _integral_restricted_logs(dist, S[b], rest[b], requery, nodes)

@@ -82,6 +82,26 @@ class TestCategoricalDist:
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
 
+    def test_caller_arrays_stay_writeable(self):
+        """Building a distribution used to make the caller's own array
+        read-only.  The distribution keeps a read-only copy, so a later
+        write into the caller's array changes nothing in it."""
+        a = np.array([0.1, 0.2, 0.3])
+        b = np.array([0.4, -0.5])
+        c = np.log(np.array([0.5, 0.25, 0.25]))
+        dists = (from_logits(a), FactorizedDist((b,)), CategoricalDist(log_probs=c))
+        views = (dists[0].logits, dists[1].per_dim_logits[0], dists[2].log_probs)
+        for caller, view in zip((a, b, c), views):
+            want = caller.copy()
+            caller[0] = 7.0
+            assert view.tobytes() == want.tobytes()
+            assert not view.flags.writeable
+
+    def test_owned_read_only_arrays_are_not_copied(self):
+        log_probs = np.log(np.array([0.5, 0.25, 0.25]))
+        log_probs.setflags(write=False)
+        assert CategoricalDist(log_probs=log_probs).log_probs is log_probs
+
 
 class TestRestrictedLogProb:
     def test_empty_restriction(self, running_dist):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dist
-from sworgrad import setprob
+from sworgrad import oracle, setprob
 from sworgrad import (
     FactorizedDist,
     Rng,
@@ -38,6 +38,29 @@ class TestNaive:
         d = from_logits(np.zeros(12))
         with pytest.raises(TooManyPermutations):
             p_set_naive(d, tuple(range(9)))
+
+    def test_dominant_element_keeps_its_denominators(self):
+        """Once the drawn element holds nearly all the mass, 1 minus a
+        running sum cancels: p(S) read 0.118965 and R(S, 0) of {0, 1, 3}
+        2.4798.  The values are mpmath's, and the oracle's ordering sum
+        agrees to 2e-15."""
+        d = from_logits([-25.97, -24.02, -25.65, 19.34])
+        got = math.exp(p_set_naive(d, (0, 3)))
+        assert abs(got - 0.1063172051893974) <= 1e-12 * 0.1063172051893974
+        ratios = loo_ratios(d, [0, 1, 3], backend="naive").ratios
+        np.testing.assert_allclose(ratios, [2.0735363783414226, 1.0431931825840366, 1.0], rtol=1e-12)
+
+    def test_matches_the_ordering_sum_at_sigma_20(self):
+        """Logits N(0, 20^2): of these 300 instances, 12 raised a math domain
+        error and 72 were off by more than 1e-9."""
+        gen = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(gen.integers(4, 8))
+            k = int(gen.integers(2, min(n, 7)))
+            d = from_logits(gen.normal(0.0, 20.0, n))
+            S = np.sort(gen.choice(n, k, replace=False))
+            want = oracle._set_prob_by_orderings(d, S)
+            assert abs(math.exp(p_set_naive(d, S)) - want) <= 1e-9 * want
 
 
 class TestExact:
@@ -116,6 +139,19 @@ class TestIntegral:
 
 
 class TestBackendAgreement:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the quadrature complement branch (alpha < 2), which "
+        "exact falls back to, cannot represent a small p(S) and gives 3.8e-6",
+    )
+    def test_low_mass_set_beside_a_dominant_element(self):
+        """p(S) = 9.999e-19 by the oracle's ordering sum; ``exact`` cancels
+        into quadrature, and quadrature computes 1 minus a number near 1."""
+        d = from_probs([0.99, 1e-20, 0.00999999999999999999])
+        want = oracle._set_prob_by_orderings(d, [0, 1])
+        for got in (p_set_exact(d, (0, 1)), p_set_integral(d, (0, 1)), loo_ratios(d, [0, 1]).log_p_set):
+            assert abs(math.exp(got) - want) <= 1e-9 * want
+
     def test_three_way(self):
         """All three backends agree on log p(S) for n <= 12, k <= 6."""
         gen = np.random.default_rng(13)
@@ -532,12 +568,12 @@ _QUERIES = {
 
 
 class TestGatheredKernel:
-    """The exact kernel gathers the terms of all the queries of one exclusion
-    size with one fancy index; its logs equal the per-query loop above bit
+    """The exact kernel gathers each query's terms of every row at once, at
+    its ``_query_positions``; its logs equal the per-query loop above bit
     for bit.  m runs up to EXACT_MAX_K while the table has at most 2^20
     entries at B = 1 and 2^16 at B > 1, and the queries hold at most 2^21
     terms per row-table entry: B = 1 reaches m = 20 for p_set and m = 16 at
-    order 1, where one query's terms fill more than one gather."""
+    order 1, past the m at which the positions are cached."""
 
     @staticmethod
     def _sets(kind, gen, B, m, c):
