@@ -433,9 +433,10 @@ def _query_positions(m: int, rel_excludes: tuple) -> tuple:
     where its terms sit in one row of the flattened (2, 2^m) term table,
     high parts first, then low parts.  The positions are a read-only view of
     that table's flat indices with the axis of each excluded position (axis
-    m - pos) taken at 0.  Cached for the tables ``auto`` builds
-    (m <= _AUTO_EXACT_MAX_K); larger tables call ``__wrapped__`` and build
-    theirs per call."""
+    m - pos) taken at 0; the views share the one index table, so at m = 20
+    all queries together cost no more memory than it.  Cached for the
+    tables ``auto`` builds (m <= _AUTO_EXACT_MAX_K); larger tables call
+    ``__wrapped__`` and build theirs per call."""
     table = np.arange(2 << m).reshape((2,) + (2,) * m)
     table.setflags(write=False)
     positions = []
