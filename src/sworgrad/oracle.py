@@ -15,6 +15,13 @@ conditional means from the same grouping.  ``estimators._estimate``
 evaluates an estimator on a whole space as one batch (one call of the
 estimator table and of the exact kernel), and ``_threshold_pass`` integrates
 the threshold estimators once per set.
+
+Given S, the threshold is the largest perturbed log-probability outside S,
+a Gumbel with location log m0 (m0 the mass outside S) and CDF u; each s in
+S lies above it with probability q_s = 1 - u^(p(s)/m0).  The quadrature
+variable v has u = v^exp(a), with the shift a = ``_QUAD_SHIFT``, so
+q_s = -expm1(gamma_s log v) with gamma_s = exp(a + log p(s) - log m0), and
+the weight exp(a) v^(exp(a) - 1) prod_s q_s integrates to p(S) over (0, 1).
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ import numpy as np
 
 from . import estimators as est
 from .distributions import CategoricalDist, Objective, _index_row, as_objective, from_logits
-from .errors import DomainTooLarge, InvalidConfig, InvalidSampleSize, SpaceTooLarge
+from .errors import DomainTooLarge, InvalidConfig, InvalidSampleSize, SpaceTooLarge, SworgradError
 from .setprob import p_set_exact, p_set_integral
 
 DOMAIN_CAP = 10**6
@@ -187,41 +194,6 @@ def _adaptive_trapezoid(func, tol: float):
         sums = [sums[0] + _midpoint_sum(func, intervals)] + sums[:3]
 
 
-def _kappa_path(dist: CategoricalDist, S_idx):
-    """Transform for integrating against the conditional threshold density.
-
-    Conditioned on the set S, the threshold is the maximum perturbed
-    log-probability outside S, a Gumbel with location log(1 - mass(S)).
-    Substituting its CDF u and then u = v^exp(shift) (the same shift that
-    smooths the set-probability integrand) gives
-
-      integral p(kappa|S) g dkappa
-        = (1/p(S)) integral_0^1 W(v) prod_s q(s, kappa(v)) g(kappa(v)) dv
-
-    with weight W(v) = exp(shift) * v^(exp(shift) - 1).  Returns
-    ``(kappa_of, weight_of)``.
-    """
-    phi_c = dist.complement_log_mass(S_idx)
-    scale = math.exp(_QUAD_SHIFT)
-
-    def kappa_of(v):
-        return phi_c - _QUAD_SHIFT - np.log(-np.log(v))
-
-    def weight_of(v):
-        return scale * np.exp((scale - 1.0) * np.log(v))
-
-    return kappa_of, weight_of
-
-
-def _q_matrix(dist, S_idx, kappas) -> np.ndarray:
-    """q(s, kappa) for every node kappa and s in S; shape (nodes, k).
-
-    It is the transpose of a (k, nodes) array, so elementwise work over it
-    runs along the long node axis rather than across the k elements."""
-    t = np.minimum(dist.log_probs[S_idx][:, None] - kappas, 700.0)
-    return (-np.expm1(-np.exp(t))).T
-
-
 def _threshold_integrals(spec, dist, S_idx, obj, project, tol):
     """Integrals over the threshold given the set S (fewer than n elements)
     of w * out and, where the estimator's variance is finite at this k, of
@@ -248,21 +220,27 @@ def _threshold_integrals(spec, dist, S_idx, obj, project, tol):
     want_second = k >= spec.finite_var_k
     fv = obj.values_at(S_idx)
     p_el = np.exp(dist.log_probs[S_idx])
-    kappa_of, weight_of = _kappa_path(dist, S_idx)
+    scale = math.exp(_QUAD_SHIFT)
+    gamma = np.exp(_QUAD_SHIFT + dist.log_probs[S_idx] - dist.complement_log_mass(S_idx))[:, None]
     per_coef = spec.output != est.VALUE
 
     def integrand(v):
-        q = _q_matrix(dist, S_idx, kappa_of(v))
-        with np.errstate(divide="ignore"):
-            w = weight_of(v) * np.exp(np.sum(np.log(q), axis=1))
-            _, coefs = spec.coefs(dist, S_idx[None], fv[None], p_el / q)
+        log_v = np.log(v)
+        # (k, nodes), transposed: elementwise work runs along the node axis.
+        q = (-np.expm1(gamma * log_v)).T
+        w = scale * np.exp((scale - 1.0) * log_v + np.sum(np.log(q), axis=1))
+        _, coefs = spec.coefs(dist, S_idx[None], fv[None], p_el / q)
         out = coefs @ out_map
         cols = [w[:, None] * (coefs if per_coef else out)]
         if want_second:
             cols.append((w * np.sum(out * out, axis=1))[:, None])
         return np.concatenate(cols, axis=1)
 
-    total = _adaptive_trapezoid(integrand, tol)
+    # An overflow, or 0 * inf at a node of weight 0, leaves the total non-finite.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        total = _adaptive_trapezoid(integrand, tol)
+    if not np.isfinite(total).all():
+        raise SworgradError(f"the threshold integrand overflows on the set {S_idx.tolist()}")
     mean = total[:k] @ out_map if per_coef else total[: out_map.shape[1]]
     return (float(mean[0]) if scalar else mean), (float(total[-1]) if want_second else None)
 

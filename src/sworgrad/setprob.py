@@ -15,7 +15,10 @@ admits three interchangeable kernels:
                   are answered by ``integral`` instead.
 * ``integral`` -- trapezoid quadrature of the smooth transformed integrand
                   alpha * v^(alpha-1) * prod_i (1 - v^beta_i) on (0, 1), with
-                  alpha = exp(a) * m0 and beta_i = exp(a) * p(i).  The shift
+                  alpha = exp(a) * m0 and beta_i = exp(a) * p(i): with u the
+                  CDF of the largest perturbed log-probability outside S,
+                  i lies above it with probability q_i = 1 - u^(p(i)/m0),
+                  p(S) = int_0^1 prod_i q_i du, and u = v^alpha.  The shift
                   a is the constant ``SHIFT`` = 5, the paper's value; it makes
                   the integrand vanish to high order at both endpoints.
 
@@ -38,13 +41,11 @@ alternating sum cancels share one quadrature grid.
 The kernels take a batch: B sets of one size, one per row of a (B, k)
 index array, with one exclusion per row.  A call whose every query excludes
 every free element reaches no kernel: each answer is log 1 = 0.  ``exact``
-builds one (B, 2^m) subset table for them all, gathers the terms each query
-keeps (``_query_positions``) once per query, keeps one ``math.fsum`` per
-query and row, and sends only the rows that cancel to quadrature, one row at
-a time; ``naive`` and ``integral`` run row by row.  A table of at most
-``_ROW_TABLE_MAX`` entries is built on Python floats instead, row by row,
-with the same float operations in the same order, so it has the same bytes
-without paying numpy's per-call cost on a few entries.
+is one driver over a (B, 2^m) subset table, built on Python floats up to
+``_ROW_TABLE_MAX`` entries (the same float operations in the same order, so
+the same bytes) and with numpy beyond.  It keeps one ``math.fsum`` per query
+and row, takes math.log capped at 0, and sends only the rows that cancel to
+quadrature, one row at a time.  ``naive`` and ``integral`` run row by row.
 ``loo_ratios`` of one set is the B = 1 row of the same computation.
 
 Indices are checked once, at the public boundary: ``loo_ratios`` and the
@@ -429,97 +430,69 @@ def _integral_restricted_logs(dist, S, rest, rel_excludes, nodes):
 
 @functools.lru_cache(maxsize=64)
 def _query_positions(m: int, rel_excludes: tuple) -> tuple:
-    """(query index, positions) for each query that keeps a free element:
-    where its terms sit in one row of the flattened (2, 2^m) term table,
-    high parts first, then low parts.  The positions are a read-only view of
-    that table's flat indices with the axis of each excluded position (axis
-    m - pos) taken at 0; the views share the one index table, so at m = 20
-    all queries together cost no more memory than it.  Cached for the
-    tables ``auto`` builds (m <= _AUTO_EXACT_MAX_K); larger tables call
-    ``__wrapped__`` and build theirs per call."""
+    """Where each query's terms sit in one row of the flattened (2, 2^m)
+    term table, high parts first: read-only views of the table's flat
+    indices with the axis of each excluded position (axis m - pos) taken at
+    0, so at m = 20 all queries together cost no more memory than it.  A
+    query that keeps nothing keeps the empty subset's terms, 1 and 0.
+    Cached for the tables ``auto`` builds (m <= _AUTO_EXACT_MAX_K); larger
+    tables call ``__wrapped__``."""
     table = np.arange(2 << m).reshape((2,) + (2,) * m)
     table.setflags(write=False)
     positions = []
-    for i, rel in enumerate(rel_excludes):
-        if len(rel) < m:
-            index = [slice(None)] * (m + 1)
-            for pos in rel:
-                index[m - pos] = 0
-            positions.append((i, table[tuple(index)]))
+    for rel in rel_excludes:
+        index = [slice(None)] * (m + 1)
+        for pos in rel:
+            index[m - pos] = 0
+        positions.append(table[tuple(index)])
     return tuple(positions)
 
 
 @functools.lru_cache(maxsize=64)
 def _row_getters(m: int, rel_excludes: tuple) -> tuple:
-    """(query index, getter) for each query that keeps a free element: the
-    getter takes the query's terms from a ``_row_terms`` list, at its
-    ``_query_positions``."""
-    return tuple(
-        (i, operator.itemgetter(*where.ravel().tolist())) for i, where in _query_positions(m, rel_excludes)
-    )
-
-
-def _row_logs(dist, S, rest, rel_excludes, nodes):
-    """``_exact_restricted_logs`` of a small table, built row by row on
-    Python floats with ``_row_terms``: one math.fsum and one math.log per
-    query and row, and one quadrature of each row's cancelled queries.
-    Every exp is libm's, as ``_complement_masses`` and ``_math_exp`` take
-    it for the numpy table."""
-    getters = _row_getters(rest.shape[1], tuple(rel_excludes))
-    log_m0 = _complement_log_masses(dist, S).tolist()
-    logs = []
-    for b, (row_log_m0, lp) in enumerate(zip(log_m0, dist.log_probs[rest].tolist())):
-        terms = _row_terms(math.exp(row_log_m0), list(map(math.exp, lp)))
-        row = [0.0] * len(rel_excludes)
-        cancelled = []
-        for i, getter in getters:
-            total = math.fsum(getter(terms))
-            if total < CANCELLATION_FLOOR:
-                cancelled.append(i)
-            else:
-                row[i] = min(math.log(total), 0.0)
-        if cancelled:
-            requery = [rel_excludes[i] for i in cancelled]
-            for i, value in zip(cancelled, _integral_restricted_logs(dist, S[b], rest[b], requery, nodes)):
-                row[i] = value
-        logs.append(row)
-    return np.array(logs)
+    """A getter per query that takes its terms from a ``_row_terms`` list,
+    at its ``_query_positions``."""
+    return tuple(operator.itemgetter(*where.ravel().tolist()) for where in _query_positions(m, rel_excludes))
 
 
 def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
-    """Shared-table inclusion-exclusion for every query of every row.
-
-    Builds one signed term table over the subsets of each row of ``rest``.
-    A query keeps the terms whose subset avoids its excluded positions, at
-    its ``_query_positions``.  A table of at most ``_ROW_TABLE_MAX`` entries
-    is built row by row on Python floats, with the same operations as the
-    numpy one, and each query takes its terms with a getter (``_row_logs``).
-    Otherwise each query takes its terms of every row with one gather.
-    Either way each query and row keeps one math.fsum; fsum is correctly
-    rounded, so the order of the terms does not matter.  A row's queries
-    that cancel below the floor are answered together by one shared-grid
-    quadrature of that row.
+    """Shared-table inclusion-exclusion for every query of every row: one
+    signed term table per row of ``rest``, built on Python floats up to
+    ``_ROW_TABLE_MAX`` entries (every exp libm's, as ``_math_exp`` takes it)
+    and with numpy beyond.  Each query keeps the terms at its
+    ``_query_positions``, by a getter per row or one gather of every row,
+    and one math.fsum per row; fsum is correctly rounded, so the order of
+    the terms does not matter.  A row's queries that cancel below the floor
+    share one quadrature of that row.
     """
     B, m = rest.shape
     if m > EXACT_MAX_K:
         raise TooManySubsets(f"|S \\ C| = {m} exceeds {EXACT_MAX_K}")
+    # totals[i * B + b] is the fsum of query i's terms of row b.
     if B << m <= _ROW_TABLE_MAX:
-        return _row_logs(dist, S, rest, rel_excludes, nodes)
-    m0 = _complement_masses(dist, S)
-    mass_hi, mass_lo = _subset_masses(_math_exp(dist.log_probs[rest]))
-    terms = _signed_quotients(m0[:, None], mass_hi, mass_lo, _subset_signs(m)).reshape(B, -1)
-    positions = _query_positions if m <= _AUTO_EXACT_MAX_K else _query_positions.__wrapped__
-    columns = [[0.0] * B] * len(rel_excludes)
+        tables = [
+            _row_terms(math.exp(log_m0), list(map(math.exp, lp)))
+            for log_m0, lp in zip(_complement_log_masses(dist, S).tolist(), dist.log_probs[rest].tolist())
+        ]
+        getters = _row_getters(m, tuple(rel_excludes))
+        totals = [math.fsum(getter(terms)) for getter in getters for terms in tables]
+    else:
+        m0 = _complement_masses(dist, S)
+        mass_hi, mass_lo = _subset_masses(_math_exp(dist.log_probs[rest]))
+        terms = _signed_quotients(m0[:, None], mass_hi, mass_lo, _subset_signs(m)).reshape(B, -1)
+        positions = _query_positions if m <= _AUTO_EXACT_MAX_K else _query_positions.__wrapped__
+        totals = [
+            total
+            for where in positions(m, tuple(rel_excludes))
+            for total in map(math.fsum, terms.take(where, axis=1).reshape(B, -1).tolist())
+        ]
     cancelled: dict = {}
-    for i, where in positions(m, tuple(rel_excludes)):
-        totals = list(map(math.fsum, terms.take(where, axis=1).reshape(B, -1).tolist()))
-        if min(totals) < CANCELLATION_FLOOR:
-            for b, total in enumerate(totals):
-                if total < CANCELLATION_FLOOR:
-                    cancelled.setdefault(b, []).append(i)
-                    totals[b] = 1.0  # log 1 = 0 holds its place until quadrature
-        columns[i] = list(map(math.log, totals))
-    logs = np.minimum(np.array(columns).T, 0.0, order="C")
+    if min(totals) < CANCELLATION_FLOOR:
+        for at, total in enumerate(totals):
+            if total < CANCELLATION_FLOOR:
+                cancelled.setdefault(at % B, []).append(at // B)
+                totals[at] = 1.0  # log 1 = 0 holds its place until quadrature
+    logs = np.minimum(np.array(list(map(math.log, totals))).reshape(-1, B).T, 0.0, order="C")
     for b, queries in cancelled.items():
         requery = [rel_excludes[i] for i in queries]
         logs[b, queries] = _integral_restricted_logs(dist, S[b], rest[b], requery, nodes)
