@@ -468,31 +468,33 @@ def _exact_restricted_logs(dist, S, rest, rel_excludes, nodes):
     B, m = rest.shape
     if m > EXACT_MAX_K:
         raise TooManySubsets(f"|S \\ C| = {m} exceeds {EXACT_MAX_K}")
-    # totals[i * B + b] is the fsum of query i's terms of row b.
+    # totals[b * Q + i] is the fsum of query i's terms of row b.
+    Q = len(rel_excludes)
     if B << m <= _ROW_TABLE_MAX:
         tables = [
             _row_terms(math.exp(log_m0), list(map(math.exp, lp)))
             for log_m0, lp in zip(_complement_log_masses(dist, S).tolist(), dist.log_probs[rest].tolist())
         ]
         getters = _row_getters(m, tuple(rel_excludes))
-        totals = [math.fsum(getter(terms)) for getter in getters for terms in tables]
+        totals = [math.fsum(getter(terms)) for terms in tables for getter in getters]
     else:
         m0 = _complement_masses(dist, S)
         mass_hi, mass_lo = _subset_masses(_math_exp(dist.log_probs[rest]))
         terms = _signed_quotients(m0[:, None], mass_hi, mass_lo, _subset_signs(m)).reshape(B, -1)
         positions = _query_positions if m <= _AUTO_EXACT_MAX_K else _query_positions.__wrapped__
-        totals = [
-            total
+        columns = [
+            list(map(math.fsum, terms.take(where, axis=1).reshape(B, -1).tolist()))
             for where in positions(m, tuple(rel_excludes))
-            for total in map(math.fsum, terms.take(where, axis=1).reshape(B, -1).tolist())
         ]
+        totals = list(itertools.chain.from_iterable(zip(*columns)))
     cancelled: dict = {}
     if min(totals) < CANCELLATION_FLOOR:
         for at, total in enumerate(totals):
             if total < CANCELLATION_FLOOR:
-                cancelled.setdefault(at % B, []).append(at // B)
+                cancelled.setdefault(at // Q, []).append(at % Q)
                 totals[at] = 1.0  # log 1 = 0 holds its place until quadrature
-    logs = np.minimum(np.array(list(map(math.log, totals))).reshape(-1, B).T, 0.0, order="C")
+    logs = np.array(list(map(math.log, totals))).reshape(B, Q)
+    np.minimum(logs, 0.0, out=logs)
     for b, queries in cancelled.items():
         requery = [rel_excludes[i] for i in queries]
         logs[b, queries] = _integral_restricted_logs(dist, S[b], rest[b], requery, nodes)
