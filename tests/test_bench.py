@@ -202,6 +202,24 @@ class TestThresholdConvergence:
         assert abs(mean - exact) <= 1e-9 * abs(exact)
 
 
+class TestFlooredThresholdMoments:
+    """At |eta| = 800 the toy's joint is floored at PROB_FLOOR."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eta", [-800.0, 800.0])
+    def test_no_threshold_moment_is_nan(self, eta):
+        """At k = 1, iw-pg-norm's r / (W - r + p) overflows at nodes of
+        positive weight and meets a factor that is exactly 0: the oracle
+        returned (nan, nan) and now raises.  The other cells stay numbers."""
+        with pytest.raises(SworgradError, match="threshold integrand overflows"):
+            bench.toy_exact_moments("iw-pg-norm", eta, 1)
+        for kind in ("iw-pg", "iw-pg-bl", "iw-pg-norm"):
+            for k in (1, 2):
+                if (kind, k) != ("iw-pg-norm", 1):
+                    mean, var = bench.toy_exact_moments(kind, eta, k)
+                    assert math.isfinite(mean) and not math.isnan(var), (kind, k)
+
+
 class TestLowEntropyDominance:
     @pytest.mark.parametrize("k", [2, 4])
     def test_builtin_baseline_beats_with_replacement(self, k):

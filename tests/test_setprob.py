@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -378,6 +379,66 @@ class TestLargeSets:
         assert p_set_exact(dist, S) == p_set_integral(dist, S)
 
 
+def _rational_log_p_set(dist, S) -> float:
+    """log p(S) from the inclusion-exclusion sum over subsets c of S,
+    sum_c (-1)^|c| m0 / (m0 + mass(c)), in exact rational arithmetic on the
+    float probabilities: no rounding, so no cancellation."""
+    p = [Fraction(x) for x in dist.probs.tolist()]
+    inside = set(S.tolist())
+    m0 = sum(x for i, x in enumerate(p) if i not in inside)
+    masses, signs = [Fraction(0)], [1]
+    for s in S.tolist():
+        masses += [mass + p[s] for mass in masses]
+        signs += [-sign for sign in signs]
+    total = sum(sign * m0 / (m0 + mass) for sign, mass in zip(signs, masses))
+    return math.log(total.numerator) - math.log(total.denominator)
+
+
+def _rational_case(kind, gen):
+    """One set of m in [2, 10] free elements in an n in [13, 60) domain."""
+    n = int(gen.integers(13, 60))
+    m = int(gen.integers(2, 11))
+    logits = gen.normal(0.0, {"sigma 20": 20.0, "shifted": 3.0}.get(kind, 1.0), n)
+    S = np.sort(gen.choice(n, m, replace=False))
+    if kind == "shifted":
+        logits[S] += gen.uniform(10.0, 30.0)
+    if kind == "pushed down":
+        logits[S[: m // 2]] -= 40.0
+    return from_logits(logits), S
+
+
+_ITEM_2 = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the alpha < 2 complement branch of the quadrature, which "
+    "integral runs and exact falls back to, cannot represent a small p(S)",
+)
+
+
+class TestRationalReference:
+    """Set probabilities past enumeration, against exact rational
+    inclusion-exclusion (ROADMAP item 6).  The tolerance is 1e-6 in log p:
+    at DEFAULT_NODES the quadrature, and exact's fallback to it, are off by
+    up to about 2e-8 on the two plain classes."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["sigma 1", pytest.param("sigma 20", marks=_ITEM_2), pytest.param("shifted", marks=_ITEM_2),
+         "pushed down"],
+    )
+    def test_backends_match_the_rational_sum(self, kind):
+        gen = np.random.default_rng([11, ["sigma 1", "sigma 20", "shifted", "pushed down"].index(kind)])
+        misses = []
+        for _ in range(40):
+            dist, S = _rational_case(kind, gen)
+            want = _rational_log_p_set(dist, S)
+            for name, got in (("exact", p_set_exact(dist, S)), ("integral", p_set_integral(dist, S)),
+                              ("loo_ratios", loo_ratios(dist, S).log_p_set)):
+                if abs(got - want) > 1e-6:
+                    misses.append(f"{name} on m = {len(S)} off by {abs(got - want):.2g}")
+        assert not misses, misses
+
+
 class TestBatchedKernel:
     """``loo_ratios`` on a (B, k) batch of sets: each row equals, bit for
     bit, the one-set call on that row."""
@@ -636,7 +697,10 @@ class TestGatheredKernel:
         Python floats; the same row repeated past the cut goes through the
         numpy table.  Every row answers with the same bytes on both sides,
         for m up to one past the cut, and so does a row of six of the least
-        probable of 1000 elements, whose sums cancel into quadrature."""
+        probable of 1000 elements, whose sums cancel into quadrature.  So
+        does a batch of three m = 4 rows on Python floats from the n = 1000
+        factorized domain, whose middle row (its four least probable
+        elements) cancels and the others do not."""
         builds = []
         row_terms, subset_masses = setprob._row_terms, setprob._subset_masses
 
@@ -659,28 +723,35 @@ class TestGatheredKernel:
         dist = from_logits(gen.normal(0.0, 1.0, 1000))
         rare = np.sort(np.argsort(dist.probs)[:6])[None, :]
         cases.append((dist, rare, rare))
+        factorized, _ = _sampled_set("n1000", 8)
+        by_prob = np.argsort(-factorized.probs)
+        batch = np.sort(np.array([by_prob[:4], by_prob[-4:], by_prob[4:8]]), axis=1)
+        cases.append((factorized, batch, batch))
         for dist, S, rest in cases:
-            m = rest.shape[1]
+            B, m = rest.shape
             rels = _QUERIES[queries](m)
-            copies = setprob._ROW_TABLE_MAX // (1 << m) + 1
+            copies = setprob._ROW_TABLE_MAX // (B << m) + 1
             builds.clear()
             alone = setprob._exact_restricted_logs(dist, S, rest, rels, setprob.DEFAULT_NODES)
             repeated = setprob._exact_restricted_logs(
                 dist, np.repeat(S, copies, axis=0), np.repeat(rest, copies, axis=0), rels,
                 setprob.DEFAULT_NODES)
-            assert builds == ["rows" if 1 << m <= setprob._ROW_TABLE_MAX else "numpy", "numpy"], m
+            assert builds == (["rows"] * B if B << m <= setprob._ROW_TABLE_MAX else ["numpy"]) + ["numpy"], m
             assert repeated.tobytes() == np.repeat(alone, copies, axis=0).tobytes(), m
             assert alone.tobytes() == _per_query_logs(dist, S, rest, rels).tobytes(), m
         requeried = []
         integral = setprob._integral_restricted_logs
 
         def counted(dist, S, rest, rels, nodes):
-            requeried.append(len(rels))
+            requeried.append(S.tolist())
             return integral(dist, S, rest, rels, nodes)
 
         monkeypatch.setattr(setprob, "_integral_restricted_logs", counted)
         setprob._exact_restricted_logs(dist, rare, rare, _QUERIES[queries](6), setprob.DEFAULT_NODES)
-        assert requeried
+        assert requeried == [rare[0].tolist()]
+        requeried.clear()
+        setprob._exact_restricted_logs(factorized, batch, batch, _QUERIES[queries](4), setprob.DEFAULT_NODES)
+        assert requeried == [batch[1].tolist()]
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("backend", ["auto", "naive", "exact", "integral"])
