@@ -456,7 +456,10 @@ def _estimate(spec: EstimatorSpec, dist: CategoricalDist, points, obj, r=None):
 
 def _estimate_one(spec: EstimatorSpec, dist: CategoricalDist, points, obj, r=None):
     """One sample's estimate, the B = 1 row of ``_estimate``: a float for
-    value estimators, else the logit gradient."""
+    value estimators, else the logit gradient.  An empty sample raises
+    InvalidSampleSize: its sums would be a silent 0."""
+    if not len(points):
+        raise InvalidSampleSize("an estimate needs at least one sample")
     out = _estimate(spec, dist, points[None], obj, None if r is None else r[None])[0]
     return float(out) if spec.output == VALUE else out
 

@@ -14,7 +14,8 @@ report reads the first-draw posterior and the stochastic sum-and-sample
 conditional means from the same grouping.  ``estimators._estimate``
 evaluates an estimator on a whole space as one batch (one call of the
 estimator table and of the exact kernel), and ``_threshold_pass`` integrates
-the threshold estimators once per set.
+the threshold estimators of every set in one quadrature ladder, in calls of
+bounded size, each set with its own stop.
 
 Given S, the threshold is the largest perturbed log-probability outside S,
 a Gumbel with location log m0 (m0 the mass outside S) and CDF u; each s in
@@ -137,119 +138,79 @@ _QUAD_TOL = 1e-9
 _START_NODES = 129
 _MAX_NODES = 65537
 
-# Most nodes the integrand is called on at once: the ladder's memory stays
-# bounded whatever the node count.
+# Most (node, set) pairs the integrand is called on at once: the ladder's
+# memory stays bounded whatever the node and set counts.
 _CHUNK_NODES = 4096
 
 
-def _midpoint_sum(func, intervals: int):
-    """Sum of ``func`` over the odd nodes j / intervals of a grid (the
-    abscissae ``np.linspace`` gives), clipped inside (0, 1) and evaluated at
-    most ``_CHUNK_NODES`` at a time."""
-    h = 1.0 / intervals
-    total = 0.0
-    for lo in range(1, intervals, 2 * _CHUNK_NODES):
-        j = np.arange(lo, min(intervals, lo + 2 * _CHUNK_NODES), 2, dtype=float)
-        total = total + np.sum(func(np.clip(j * h, _U_CLIP, 1.0 - _U_CLIP)), axis=0)
-    return total
+def _strided_sums(func, positions, h, running, strides):
+    """For each stride s, the sum of ``func`` over every s-th node of
+    ``positions`` (a range of grid positions j, at the nodes j * h clipped
+    inside (0, 1)), one row per running set.  Each call takes at most
+    ``_CHUNK_NODES`` (node, set) pairs: up to ``_CHUNK_NODES`` nodes and as
+    many sets as fit beside them.  So a set's nodes are summed in the same
+    chunks whatever the other sets, and its sums keep their rounding."""
+    width = max(1, _CHUNK_NODES // len(positions))
+    groups = []
+    for first in range(0, len(running), width):
+        sums = [0.0] * len(strides)
+        for lo in range(0, len(positions), _CHUNK_NODES):
+            j = positions[lo:lo + _CHUNK_NODES]
+            v = np.clip(np.arange(j.start, j.stop, j.step, dtype=float) * h, _U_CLIP, 1.0 - _U_CLIP)
+            vals = func(v, running[first:first + width])
+            sums = [acc + np.sum(vals[::s], axis=0) for acc, s in zip(sums, strides)]
+        groups.append(sums)
+    return [np.concatenate(parts) for parts in zip(*groups)]
 
 
-def _adaptive_trapezoid(func, tol: float):
-    """Extrapolated trapezoid on [0, 1] with node doubling until convergence.
+def _adaptive_trapezoid(func, tol: float, sets=None):
+    """Extrapolated trapezoid on [0, 1] with node doubling until each set
+    converges.
 
-    ``func`` maps an array of nodes in (0, 1) to integrand values of shape
-    ``(len(nodes), ...)``; endpoint values are taken just inside the interval.
-    The node count runs 129, 257, ..., 65537; at ``_MAX_NODES`` the last
-    estimate is returned even if it has not converged.
+    ``func(nodes, running)`` maps an array of nodes in (0, 1) and the indices
+    of the sets still running to integrand values of shape
+    ``(len(nodes), len(running), ...)``; the integrals come back with shape
+    ``(sets, ...)``.  Without ``sets``, ``func`` maps the nodes alone to
+    ``(len(nodes), ...)`` and the one integral is returned.  Endpoint values
+    are taken just inside the interval.  A set's node count runs 129, 257,
+    ..., 65537 until its estimate moves by at most ``tol`` times its largest
+    component; a stopped set is no longer evaluated.  At ``_MAX_NODES`` the
+    last estimate is returned even if it has not converged.
 
     Each rung's estimate is the Richardson extrapolation (cancelling the h^2
     to h^6 terms) of the trapezoid sums at strides 1, 2, 4 and 8.  They are
     kept as running sums: halving h turns the stride-2^j sum into the
     stride-2^(j+1) one, and only the stride-1 sum gains the new midpoints.
-    So every node is evaluated once, in chunks of at most ``_CHUNK_NODES``
-    nodes, and no grid is stored.
+    So every node is evaluated once per set, and no grid is stored.
     """
+    if sets is None:
+        return _adaptive_trapezoid(lambda v, running: func(v)[:, None], tol, 1)[0]
     intervals = _START_NODES - 1
-    h = 1.0 / intervals
-    vals = func(np.clip(np.linspace(0.0, 1.0, _START_NODES), _U_CLIP, 1.0 - _U_CLIP))
-    ends = vals[0] + vals[-1]
-    sums = [np.sum(vals[:: 2**j], axis=0) for j in range(4)]
+    running = np.arange(sets)
+    # The stride-128 sum is the two end values.
+    *sums, ends = _strided_sums(func, range(_START_NODES), 1.0 / intervals, running, (1, 2, 4, 8, intervals))
+    out = np.empty((sets,) + ends.shape[1:])
     prev = None
     while True:
+        h = 1.0 / intervals
         row = [(2**j * h) * (sums[j] - 0.5 * ends) for j in range(4)]
         for level in range(1, 4):
             factor = 4.0**level
             row = [(factor * fine - coarse) / (factor - 1.0) for fine, coarse in zip(row, row[1:])]
         total = row[0]
+        done = np.full(len(running), intervals + 1 >= _MAX_NODES)
         if prev is not None:
-            err = np.max(np.abs(total - prev))
-            scale = max(float(np.max(np.abs(total))), 1e-30)
-            if err <= tol * scale:
-                return total
-        if intervals + 1 >= _MAX_NODES:
-            return total
-        prev = total
+            flat = total.reshape(len(running), -1)
+            err = np.max(np.abs(flat - prev.reshape(len(running), -1)), axis=1)
+            done |= err <= tol * np.maximum(np.max(np.abs(flat), axis=1), 1e-30)
+        out[running[done]] = total[done]
+        if done.all():
+            return out
+        keep = ~done
+        running, prev, ends, sums = running[keep], total[keep], ends[keep], [s[keep] for s in sums]
         intervals *= 2
-        h = 1.0 / intervals
-        sums = [sums[0] + _midpoint_sum(func, intervals)] + sums[:3]
-
-
-def _threshold_integrals(spec, dist, S_idx, obj, project, tol):
-    """Integrals over the threshold given the set S (fewer than n elements)
-    of w * out and, where the estimator's variance is finite at this k, of
-    w * |out|^2 (else None).  Here w is the set-conditional weight prod_s q
-    and out is the estimate at each quadrature node (one row of importance
-    weights per node), projected when ``project`` is given; the mean is then
-    a float, as for a value.  Dividing by p(S) gives the moments given S;
-    summed over all sets they are the unconditional moments.
-
-    A value's mean is integrated as one column.  A gradient's mean is
-    integrated per coefficient and mapped afterwards, so quadrature converges
-    on the coefficients' scale even where a projected gradient cancels to
-    almost zero.
-    """
-    k = len(S_idx)
-    scalar = spec.output == est.VALUE or project is not None
-    if spec.output == est.VALUE:
-        out_map = np.ones((k, 1))
-    elif scalar:
-        proj = np.asarray(project, dtype=float)
-        out_map = (proj[S_idx] - float(np.dot(dist.probs, proj)))[:, None]
-    else:
-        out_map = _score_vectors(dist, S_idx)
-    want_second = k >= spec.finite_var_k
-    fv = obj.values_at(S_idx)
-    p_el = np.exp(dist.log_probs[S_idx])
-    scale = math.exp(_QUAD_SHIFT)
-    gamma = np.exp(_QUAD_SHIFT + dist.log_probs[S_idx] - dist.complement_log_mass(S_idx))[:, None]
-    per_coef = spec.output != est.VALUE
-
-    def integrand(v):
-        log_v = np.log(v)
-        # (k, nodes), transposed: elementwise work runs along the node axis.
-        q = (-np.expm1(gamma * log_v)).T
-        w = scale * np.exp((scale - 1.0) * log_v + np.sum(np.log(q), axis=1))
-        _, coefs = spec.coefs(dist, S_idx[None], fv[None], p_el / q)
-        out = coefs @ out_map
-        cols = [w[:, None] * (coefs if per_coef else out)]
-        if want_second:
-            cols.append((w * np.sum(out * out, axis=1))[:, None])
-        return np.concatenate(cols, axis=1)
-
-    # An overflow, or 0 * inf at a node of weight 0, leaves the total non-finite.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        total = _adaptive_trapezoid(integrand, tol)
-    if not np.isfinite(total).all():
-        raise SworgradError(f"the threshold integrand overflows on the set {S_idx.tolist()}")
-    mean = total[:k] @ out_map if per_coef else total[: out_map.shape[1]]
-    return (float(mean[0]) if scalar else mean), (float(total[-1]) if want_second else None)
-
-
-def _score_vectors(dist, elements):
-    """The score vectors onehot(s) - probs of the elements, one per row."""
-    vecs = -np.tile(dist.probs, (len(elements), 1))
-    vecs[np.arange(len(elements)), elements] += 1.0
-    return vecs
+        mids = _strided_sums(func, range(1, intervals, 2), 1.0 / intervals, running, (1,))[0]
+        sums = [sums[0] + mids] + sums[:3]
 
 
 def _set_prob_by_orderings(dist: CategoricalDist, S_idx) -> float:
@@ -262,15 +223,16 @@ def _set_prob_by_orderings(dist: CategoricalDist, S_idx) -> float:
 
 
 def conditional_iw_mean(dist: CategoricalDist, S, f) -> float:
-    """Mean of the importance-weighted estimate over the threshold given S."""
+    """Mean of the importance-weighted estimate over the threshold given a non-empty S."""
     spec = est.ESTIMATORS[est.IMPORTANCE_WEIGHTED]
     S_idx = _index_row(S, dist.n)
+    if not len(S_idx):
+        raise InvalidSampleSize("the importance-weighted estimate needs at least one sample")
     obj = as_objective(f)
     if len(S_idx) == dist.n:
         return float(np.dot(np.exp(dist.log_probs[S_idx]), obj.values_at(S_idx)))
-    p_set = _set_prob_by_orderings(dist, S_idx)
-    mean, _ = _threshold_integrals(spec, dist, S_idx, obj, None, _QUAD_TOL)
-    return mean / p_set
+    means, _ = _threshold_pass(spec, dist, obj, S_idx[None], None, _QUAD_TOL)
+    return means[0] / _set_prob_by_orderings(dist, S_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +333,65 @@ def estimator_moments(
 
 
 def _threshold_pass(spec, dist, obj, sets, project, tol):
-    """One pass over the sets, the rows of ``sets``: the means and the second
-    moments of ``_threshold_integrals``, one per set.  At k = n the threshold
-    is the sentinel, q = 1 and p(S) = 1: they are the estimate and its
-    squared norm.
+    """One pass over the sets, the rows of ``sets``: for each set S, the
+    integrals over the threshold given S of w * out and, where the
+    estimator's variance is finite at this k, of w * |out|^2 (else None).
+    Here w is the set-conditional weight prod_s q and out is the estimate at
+    each quadrature node (one row of importance weights per node), projected
+    when ``project`` is given; the mean is then a float, as for a value.
+    Dividing by p(S) gives the moments given S; summed over all sets they are
+    the unconditional moments.  At k = n the threshold is the sentinel,
+    q = 1 and p(S) = 1: they are the estimate and its squared norm.
+
+    All sets share one ladder, each with its own stop.  A value's mean is
+    integrated as one column, a gradient's per coefficient and mapped
+    afterwards, so quadrature converges on the coefficients' scale even
+    where a projected gradient cancels to almost zero.
     """
     if sets.shape[1] == dist.n:
         points, r = est.importance_weights(dist, np.arange(dist.n), None)
         out = _project(est._estimate(spec, dist, points[None], obj, r[None]), project)[0]
         return [out], [float(np.dot(out, out))]
-    means, seconds = zip(*(_threshold_integrals(spec, dist, S, obj, project, tol) for S in sets))
-    return means, seconds
+    k = sets.shape[1]
+    scalar = spec.output == est.VALUE or project is not None
+    if spec.output == est.VALUE:
+        out_map = np.ones(sets.shape + (1,))
+    elif scalar:
+        proj = np.asarray(project, dtype=float)
+        out_map = (proj[sets] - float(np.dot(dist.probs, proj)))[:, :, None]
+    else:
+        # The score vectors onehot(s) - probs of each set's elements.
+        out_map = (sets[:, :, None] == np.arange(dist.n)) - dist.probs
+    want_second = k >= spec.finite_var_k
+    per_coef = spec.output != est.VALUE
+    fv = obj.values_at(sets).reshape(sets.shape)
+    log_p = dist.log_probs[sets]
+    p_el = np.exp(log_p)
+    scale = math.exp(_QUAD_SHIFT)
+    log_m0 = np.array([dist.complement_log_mass(S) for S in sets])
+    gamma = np.exp(_QUAD_SHIFT + log_p - log_m0[:, None])
+
+    def integrand(v, running):
+        log_v = np.log(v)
+        # (sets, k, nodes), transposed: elementwise work runs along the node axis.
+        q = (-np.expm1(gamma[running, :, None] * log_v)).transpose(0, 2, 1)
+        w = scale * np.exp((scale - 1.0) * log_v + np.sum(np.log(q), axis=2))
+        _, coefs = spec.coefs(dist, sets[running, None], fv[running, None], p_el[running, None] / q)
+        out = coefs @ out_map[running]
+        cols = [w[..., None] * (coefs if per_coef else out)]
+        if want_second:
+            cols.append((w * np.sum(out * out, axis=2))[..., None])
+        return np.concatenate(cols, axis=2).transpose(1, 0, 2)
+
+    # An overflow, or 0 * inf at a node of weight 0, leaves a total non-finite.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        totals = _adaptive_trapezoid(integrand, tol, len(sets))
+    bad = ~np.isfinite(totals).all(axis=1)
+    if bad.any():
+        raise SworgradError(f"the threshold integrand overflows on the set {sets[bad][0].tolist()}")
+    means = [t[:k] @ m if per_coef else t[: m.shape[1]] for t, m in zip(totals, out_map)]
+    seconds = [float(t[-1]) if want_second else None for t in totals]
+    return ([float(m[0]) for m in means] if scalar else means), seconds
 
 
 def _threshold_moments(means, seconds):

@@ -13,6 +13,7 @@ from sworgrad import oracle
 from sworgrad.errors import (
     BaselineSizeMismatch,
     InconsistentThreshold,
+    InvalidSampleSize,
     InvalidSplit,
     NeedTwoSamples,
     NoPathwiseGradient,
@@ -130,6 +131,25 @@ class TestDetSumAndSample:
             k = int(gen.integers(2, n + 1))
             mean, _ = oracle.estimator_moments(est.DET_SUM_AND_SAMPLE, d, f, k)
             assert abs(mean - oracle.exact_expectation(d, f)) < 1e-10
+
+
+# Calls on an empty sample: each returned a silent 0 (risk_grad with a
+# RuntimeWarning), and unordered_set_estimate an untyped ValueError.
+EMPTY_SAMPLE_CALLS = {
+    "importance_weighted": lambda d, f: est.importance_weighted(d, [], 0.0, f),
+    "iwpg": lambda d, f: est.iwpg(d, [], 0.0, f),
+    "risk_grad": lambda d, f: est.risk_grad(d, [], f),
+    "conditional_iw_mean": lambda d, f: oracle.conditional_iw_mean(d, [], f),
+    "unordered_set_estimate": lambda d, f: est.unordered_set_estimate(d, [], f),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(EMPTY_SAMPLE_CALLS))
+def test_empty_sample_raises(name):
+    dist, f = oracle._random_instance(np.random.default_rng(0), 4)
+    with pytest.raises(InvalidSampleSize):
+        EMPTY_SAMPLE_CALLS[name](dist, f)
 
 
 class TestImportanceWeighted:

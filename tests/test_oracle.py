@@ -6,9 +6,9 @@ import pytest
 
 import sworgrad as sg
 from conftest import random_dist
-from sworgrad import oracle, setprob
+from sworgrad import bench, oracle, setprob
 from sworgrad import estimators as est
-from sworgrad.distributions import as_objective
+from sworgrad.distributions import Objective, as_objective
 from sworgrad.errors import InvalidConfig, InvalidSampleSize, SpaceTooLarge
 from sworgrad.setprob import p_set_exact, p_set_integral, p_set_naive
 
@@ -326,30 +326,55 @@ def _full_grid_ladder(func, tol, start_nodes=129, max_nodes=65537):
 
 
 class _Counted:
-    """Wraps an integrand and records the nodes of every call."""
+    """Wraps an integrand and records the nodes of every call, and the sets
+    it ran on where the ladder passes them (set 0 where it does not)."""
 
     def __init__(self, func):
         self.func = func
         self.calls = []
+        self.sets = []
 
-    def __call__(self, v):
+    def __call__(self, v, *running):
         self.calls.append(np.array(v))
-        return self.func(v)
+        self.sets.append(np.array(running[0]) if running else np.zeros(1, dtype=int))
+        return self.func(v, *running)
+
+    def nodes_of(self, s):
+        """The nodes set s was evaluated on, sorted."""
+        return np.sort(np.concatenate([v for v, r in zip(self.calls, self.sets) if s in r]))
 
 
 def _first_integrand(monkeypatch, call):
-    """The integrand and tolerance of the first ladder that ``call`` runs."""
+    """The integrand and tolerance of the first ladder that ``call`` runs,
+    on that ladder's first set alone."""
     seen = []
     ladder = oracle._adaptive_trapezoid
 
-    def capture(func, tol, **kwargs):
+    def capture(func, tol, *args):
         seen.append((func, tol))
-        return ladder(func, tol, **kwargs)
+        return ladder(func, tol, *args)
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "_adaptive_trapezoid", capture)
         call()
-    return seen[0]
+    func, tol = seen[0]
+    return (lambda v: func(v, np.arange(1))[:, 0]), tol
+
+
+def _counted_pass(monkeypatch, spec, dist, obj, sets, project):
+    """``_threshold_pass`` at the oracle's tolerance, with its integrand
+    counted: the means, the second moments and the ``_Counted`` integrand."""
+    counted = []
+    ladder = oracle._adaptive_trapezoid
+
+    def count(func, tol, *args):
+        counted.append(_Counted(func))
+        return ladder(counted[-1], tol, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_adaptive_trapezoid", count)
+        means, seconds = oracle._threshold_pass(spec, dist, obj, sets, project, oracle._QUAD_TOL)
+    return means, seconds, counted[0]
 
 
 def _polynomial(v):
@@ -395,27 +420,61 @@ class TestThresholdQuadrature:
 
     def test_integrand_calls_are_bounded(self):
         """Past 4097 nodes the midpoints come in chunks: no call exceeds 4096
-        nodes, and the ladder still reaches its 65537-node cap."""
+        nodes, or 4096 (node, set) pairs when several sets share the ladder,
+        and every set still reaches the 65537-node cap."""
         counted = _Counted(_polynomial)
         oracle._adaptive_trapezoid(counted, 0.0)
         assert max(len(v) for v in counted.calls) == 4096
         grid = np.clip(np.linspace(0.0, 1.0, 65537), oracle._U_CLIP, 1.0 - oracle._U_CLIP)
         np.testing.assert_array_equal(np.sort(np.concatenate(counted.calls)), grid)
 
-    @pytest.mark.parametrize("n, k", [(4, 2), (5, 3)])
-    def test_shared_pass_gives_conditional_iw_mean(self, n, k):
-        """The report divides each set's integral from the one threshold pass
-        by the set's chain-rule probability; that is conditional_iw_mean."""
-        spec = est.ESTIMATORS[est.IMPORTANCE_WEIGHTED]
+        sets = 7
+        counted = _Counted(lambda v, running: _polynomial(v)[:, None] * (1.0 + running)[:, None])
+        got = oracle._adaptive_trapezoid(counted, 0.0, sets)
+        assert max(len(v) * len(r) for v, r in zip(counted.calls, counted.sets)) <= oracle._CHUNK_NODES
+        for s in range(sets):
+            np.testing.assert_array_equal(counted.nodes_of(s), grid)
+            np.testing.assert_allclose(got[s], (1.0 + s) * np.array([1 / 61, 3 / 46 - 0.5]), rtol=1e-12)
+
+    @staticmethod
+    def _passes(case):
+        """(spec, dist, objective, sets, project) of threshold passes: the
+        importance-weighted value on three random instances at (n, k), or
+        the toy's projected iw-pg-bl gradient at k = 2, eta = -4."""
+        if case == "toy-iw-pg-bl":
+            toy = bench.make_toy(-4.0)
+            f = Objective(toy.f_values, np.zeros((bench.DOMAIN, bench.DOMAIN)))
+            sets = np.array(list(itertools.combinations(range(bench.DOMAIN), 2)))
+            return [(est.ESTIMATORS[est.IW_PG_BL], toy.flat, f, sets, toy.eta_jacobian)]
+        n, k = case
         gen = np.random.default_rng(n)
+        spec = est.ESTIMATORS[est.IMPORTANCE_WEIGHTED]
+        passes = []
         for _ in range(3):
             dist, f = oracle._random_instance(gen, n)
-            sets, probs = oracle.enumerate_unordered(dist, k)
-            means, _ = oracle._threshold_pass(spec, dist, as_objective(f), sets, None, 1e-9)
-            assert len(means) == len(sets)
-            for mean, S, p in zip(means, sets, probs):
-                want = oracle.conditional_iw_mean(dist, S, f)
-                assert abs(mean / p - want) <= 1e-12
+            passes.append((spec, dist, as_objective(f), oracle.enumerate_unordered(dist, k)[0], None))
+        return passes
+
+    @pytest.mark.parametrize(
+        "case", [(4, 2), (5, 3), "toy-iw-pg-bl"], ids=["4-2", "5-3", "toy-iw-pg-bl"]
+    )
+    def test_shared_pass_gives_conditional_iw_mean(self, monkeypatch, case):
+        """The report divides each set's integral from the one threshold pass
+        by the set's chain-rule probability; that is conditional_iw_mean.
+        Each set of the pass is evaluated on exactly the nodes of its own
+        one-set ladder, and gives that ladder's answer."""
+        for spec, dist, obj, sets, project in self._passes(case):
+            means, seconds, counted = _counted_pass(monkeypatch, spec, dist, obj, sets, project)
+            assert len(means) == len(seconds) == len(sets)
+            for i, S in enumerate(sets):
+                one_means, one_seconds, one = _counted_pass(monkeypatch, spec, dist, obj, S[None], project)
+                np.testing.assert_array_equal(counted.nodes_of(i), one.nodes_of(0))
+                for got, want in ((means[i], one_means[0]), (seconds[i], one_seconds[0])):
+                    if want is not None:
+                        assert np.max(np.abs(np.subtract(got, want))) <= 1e-15 * np.max(np.abs(want))
+                if project is None:
+                    p = oracle._set_prob_by_orderings(dist, S)
+                    assert abs(means[i] / p - oracle.conditional_iw_mean(dist, S, obj)) <= 1e-12
 
 
 class TestTheoremReport:
