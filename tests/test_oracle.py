@@ -472,9 +472,10 @@ class TestThresholdQuadrature:
                 for got, want in ((means[i], one_means[0]), (seconds[i], one_seconds[0])):
                     if want is not None:
                         assert np.max(np.abs(np.subtract(got, want))) <= 1e-15 * np.max(np.abs(want))
-                if project is None:
-                    p = oracle._set_prob_by_orderings(dist, S)
-                    assert abs(means[i] / p - oracle.conditional_iw_mean(dist, S, obj)) <= 1e-12
+            if project is None:
+                probs = oracle.enumerate_unordered(dist, sets.shape[1])[1]
+                for mean, S, p in zip(means, sets, probs):
+                    assert abs(mean / p - oracle.conditional_iw_mean(dist, S, obj)) <= 1e-12
 
 
 class TestTheoremReport:
