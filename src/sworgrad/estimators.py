@@ -456,12 +456,16 @@ def _estimate(spec: EstimatorSpec, dist: CategoricalDist, points, obj, r=None):
 
 def _estimate_one(spec: EstimatorSpec, dist: CategoricalDist, points, obj, r=None):
     """One sample's estimate, the B = 1 row of ``_estimate``: a float for
-    value estimators, else the logit gradient.  An empty sample raises
-    InvalidSampleSize: its sums would be a silent 0."""
-    if not len(points):
-        raise InvalidSampleSize("an estimate needs at least one sample")
+    value estimators, else the logit gradient."""
     out = _estimate(spec, dist, points[None], obj, None if r is None else r[None])[0]
     return float(out) if spec.output == VALUE else out
+
+
+def _require_sample(points):
+    """Raise InvalidSampleSize on an empty sample, whose estimate would be a
+    silent 0."""
+    if not len(points):
+        raise InvalidSampleSize("an estimate needs at least one sample")
 
 
 def _grad_estimate(estimator_id, dist, points, f, k, r=None) -> GradEstimate:
@@ -498,6 +502,7 @@ def det_sum_and_sample(dist: CategoricalDist, f, k: int, rng: Rng) -> float:
 def importance_weighted(dist: CategoricalDist, S, kappa, f) -> float:
     """Priority-sampling estimate sum_{s in S} p(s)/q(s, kappa) f(s)."""
     elements, r = importance_weights(dist, S, kappa)
+    _require_sample(elements)
     return _estimate_one(ESTIMATORS[IMPORTANCE_WEIGHTED], dist, elements, as_objective(f), r)
 
 
@@ -577,6 +582,7 @@ def risk_grad(dist: CategoricalDist, S, f, form: str = "direct") -> GradEstimate
     if eid is None:
         raise ValueError(f"form must be 'direct' or 'baseline', got {form!r}")
     S = _index_row(S, dist.n)
+    _require_sample(S)
     return _grad_estimate(eid, dist, S, f, len(S))
 
 
@@ -597,5 +603,6 @@ def iwpg(
     variant divides by per-term normalizers (biased, lower variance).
     """
     elements, r = importance_weights(dist, S, kappa)
+    _require_sample(elements)
     eid = IW_PG_NORM if normalized else IW_PG_BL if baseline else IW_PG
     return _grad_estimate(eid, dist, elements, f, len(elements), r)

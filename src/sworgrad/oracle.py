@@ -163,16 +163,14 @@ def _strided_sums(func, positions, h, running, strides):
     return [np.concatenate(parts) for parts in zip(*groups)]
 
 
-def _adaptive_trapezoid(func, tol: float, sets=None):
+def _adaptive_trapezoid(func, tol: float, sets: int):
     """Extrapolated trapezoid on [0, 1] with node doubling until each set
     converges.
 
     ``func(nodes, running)`` maps an array of nodes in (0, 1) and the indices
     of the sets still running to integrand values of shape
     ``(len(nodes), len(running), ...)``; the integrals come back with shape
-    ``(sets, ...)``.  Without ``sets``, ``func`` maps the nodes alone to
-    ``(len(nodes), ...)`` and the one integral is returned.  Endpoint values
-    are taken just inside the interval.  A set's node count runs 129, 257,
+    ``(sets, ...)``.  Endpoint values are taken just inside the interval.  A set's node count runs 129, 257,
     ..., 65537 until its estimate moves by at most ``tol`` times its largest
     component; a stopped set is no longer evaluated.  At ``_MAX_NODES`` the
     last estimate is returned even if it has not converged.
@@ -183,8 +181,6 @@ def _adaptive_trapezoid(func, tol: float, sets=None):
     stride-2^(j+1) one, and only the stride-1 sum gains the new midpoints.
     So every node is evaluated once per set, and no grid is stored.
     """
-    if sets is None:
-        return _adaptive_trapezoid(lambda v, running: func(v)[:, None], tol, 1)[0]
     intervals = _START_NODES - 1
     running = np.arange(sets)
     # The stride-128 sum is the two end values.
@@ -226,8 +222,7 @@ def conditional_iw_mean(dist: CategoricalDist, S, f) -> float:
     """Mean of the importance-weighted estimate over the threshold given a non-empty S."""
     spec = est.ESTIMATORS[est.IMPORTANCE_WEIGHTED]
     S_idx = _index_row(S, dist.n)
-    if not len(S_idx):
-        raise InvalidSampleSize("the importance-weighted estimate needs at least one sample")
+    est._require_sample(S_idx)
     obj = as_objective(f)
     if len(S_idx) == dist.n:
         return float(np.dot(np.exp(dist.log_probs[S_idx]), obj.values_at(S_idx)))
@@ -318,13 +313,16 @@ def estimator_moments(
     variance is infinite below the table's ``finite_var_k`` (k = 1 for
     ``importance-weighted`` and ``iw-pg``, k <= 3 for ``iw-pg-bl``) and
     reported as inf.  Raises InvalidSampleSize for k < 1, and for k > n
-    under the laws that draw distinct elements.
+    under the laws that draw distinct elements; SpaceTooLarge past
+    ``SPACE_CAP`` samples, or sets for the threshold kinds.
     """
     spec = est.estimator_spec(kind)
     if k < 1 or (k > dist.n and spec.law in _WITHOUT_REPLACEMENT):
         raise InvalidSampleSize(f"k={k} outside [1, {dist.n}] for {kind!r}")
     obj = as_objective(f)
     if spec.law == est.THRESHOLD:
+        if math.comb(dist.n, k) > SPACE_CAP:
+            raise SpaceTooLarge(f"{math.comb(dist.n, k)} sets exceed {SPACE_CAP}")
         sets = np.array(list(itertools.combinations(range(dist.n), k)))
         return _threshold_moments(*_threshold_pass(spec, dist, obj, sets, project, _QUAD_TOL))
     points, probs = _SPACES[spec.law](dist, k)

@@ -134,13 +134,12 @@ class TestDetSumAndSample:
 
 
 # Calls on an empty sample: each returned a silent 0 (risk_grad with a
-# RuntimeWarning), and unordered_set_estimate an untyped ValueError.
+# RuntimeWarning).
 EMPTY_SAMPLE_CALLS = {
     "importance_weighted": lambda d, f: est.importance_weighted(d, [], 0.0, f),
     "iwpg": lambda d, f: est.iwpg(d, [], 0.0, f),
     "risk_grad": lambda d, f: est.risk_grad(d, [], f),
     "conditional_iw_mean": lambda d, f: oracle.conditional_iw_mean(d, [], f),
-    "unordered_set_estimate": lambda d, f: est.unordered_set_estimate(d, [], f),
 }
 
 

@@ -87,6 +87,8 @@ class TestEnumeration:
             oracle.enumerate_ordered(d, 5)
         with pytest.raises(SpaceTooLarge):
             oracle.conditional_iw_mean(d, range(10), np.zeros(50))
+        with pytest.raises(SpaceTooLarge, match="10272278170 sets exceed"):
+            oracle.estimator_moments(est.IMPORTANCE_WEIGHTED, d, np.zeros(50), 10)
 
     @pytest.mark.parametrize("S", [[0, 0], [-1, 0]])
     def test_conditional_iw_mean_rejects_bad_sets(self, running_dist, running_f, S):
@@ -390,7 +392,7 @@ class TestThresholdQuadrature:
     def _check_ladder(self, func, tol):
         """Each node once, and the reference's value; returns the ladder's."""
         counted = _Counted(func)
-        got = oracle._adaptive_trapezoid(counted, tol)
+        got = oracle._adaptive_trapezoid(lambda v, r: counted(v)[:, None], tol, 1)[0]
         final = sum(len(v) for v in counted.calls)
         rungs = math.log2((final - 1) // 128) + 1
         assert rungs == int(rungs) and rungs >= 3
@@ -423,7 +425,7 @@ class TestThresholdQuadrature:
         nodes, or 4096 (node, set) pairs when several sets share the ladder,
         and every set still reaches the 65537-node cap."""
         counted = _Counted(_polynomial)
-        oracle._adaptive_trapezoid(counted, 0.0)
+        oracle._adaptive_trapezoid(lambda v, r: counted(v)[:, None], 0.0, 1)
         assert max(len(v) for v in counted.calls) == 4096
         grid = np.clip(np.linspace(0.0, 1.0, 65537), oracle._U_CLIP, 1.0 - oracle._U_CLIP)
         np.testing.assert_array_equal(np.sort(np.concatenate(counted.calls)), grid)
