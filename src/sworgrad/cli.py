@@ -52,6 +52,8 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--k", type=int, default=2)
     p_check.add_argument("--cases", type=int, default=50)
     p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--scale", type=float, default=1.0,
+                         help="standard deviation of the random logits")
     p_check.add_argument("--out", default=None)
 
     p_var = sub.add_parser("variance", help="toy gradient-variance sweep to CSV")
@@ -107,7 +109,7 @@ def _cmd_probset(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = oracle.theorem_report(args.n, args.k, args.cases, args.seed)
+    report = oracle.theorem_report(args.n, args.k, args.cases, args.seed, args.scale)
     _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
     return 0 if report["all_passed"] else 2
 

@@ -233,29 +233,37 @@ def _priority_weights(dist: CategoricalDist, elements: np.ndarray, kappa) -> np.
 #
 # Each maps (dist, points, fv, r) to (elements, coefs): ``points`` is a
 # (B, k) array whose rows are samples' evaluation points in the order their
-# law draws them, ``fv`` the objective at those points, and ``r`` the
-# importance weights p/q of the threshold law (None for every other law).
-# The threshold formulas broadcast ``r`` against one sample's row: the oracle
-# passes one row of weights per quadrature node.
+# law draws them, ``fv`` the objective at those points, and ``r`` what the
+# law shares across estimators, or None:
+# * the threshold law: the importance weights p/q.  The threshold formulas
+#   broadcast ``r`` against one sample's row: the oracle passes one row of
+#   weights per quadrature node.
+# * the set law: the ``LooRatios`` of the batch's sets, ``_loo_ratios(dist,
+#   S, S, 2)`` (order 1 suffices at k = 1), which the oracle builds once per
+#   set space; with None each function builds the order it reads.  Order-1
+#   ratios read from an order-2 table are the same floats.
+# * every other law: None.
 
 
 def _posterior_coefs(dist, S, fv, r=None):
-    lr = _loo_ratios(dist, S, S, 1)
+    lr = _loo_ratios(dist, S, S, 1) if r is None else r
     return S, np.exp(dist.log_probs[S]) * lr.ratios * fv
 
 
-def _baseline_terms(dist, S, fv):
+def _baseline_terms(dist, S, fv, lr=None):
     """Elements, first-draw posterior w and the leave-one-out baseline b of
-    every element, estimated from the others by second-order ratios."""
+    every element, estimated from the others by second-order ratios (from
+    ``lr``, the sets' order-2 ``LooRatios``, when given)."""
     if S.shape[1] < 2:
         raise NeedTwoSamples("the built-in baseline needs at least two samples")
-    lr = _loo_ratios(dist, S, S, 2)
+    if lr is None:
+        lr = _loo_ratios(dist, S, S, 2)
     p_el = np.exp(dist.log_probs[S])
     return S, p_el * lr.ratios, (lr.second_order @ (p_el * fv)[:, :, None])[:, :, 0]
 
 
 def _uspg_baseline_coefs(dist, S, fv, r=None):
-    elements, w, b = _baseline_terms(dist, S, fv)
+    elements, w, b = _baseline_terms(dist, S, fv, r)
     return elements, w * (fv - b)
 
 
@@ -442,13 +450,18 @@ def _estimate(spec: EstimatorSpec, dist: CategoricalDist, points, obj, r=None):
         _require_logits(dist)
     if spec.output == PATHWISE and not obj.has_param_grad:
         raise NoPathwiseGradient("objective provides no parameter gradient")
-    elements, coefs = spec.coefs(dist, points, obj.values_at(points).reshape(points.shape), r)
+    fv = obj.values_at(points).reshape(points.shape)
+    if spec.output == PATHWISE:
+        # The estimators are linear in f, so their weights are the coefs at
+        # f = 1, and the coefs are the weights times f.
+        elements, w = spec.coefs(dist, points, np.ones(points.shape), r)
+        coefs = w * fv
+    else:
+        elements, coefs = spec.coefs(dist, points, fv, r)
     if spec.output == VALUE:
         return coefs.sum(axis=1)
     grad = _score_sum(dist, elements, coefs)
     if spec.output == PATHWISE:
-        # The estimators are linear in f, so their weights are the coefs at f = 1.
-        _, w = spec.coefs(dist, points, np.ones(points.shape), r)
         for col, ws in zip(elements.T, w.T):
             grad = grad + ws[:, None] * np.array([obj.param_grad_at(s) for s in col.tolist()])
     return grad
@@ -536,9 +549,10 @@ def uspg_baseline_control_variate(dist: CategoricalDist, S, f) -> np.ndarray:
     return _control_variate(dist, S, as_objective(f).values_at(S)[None])[0]
 
 
-def _control_variate(dist: CategoricalDist, S, fv) -> np.ndarray:
-    """``uspg_baseline_control_variate`` of each row of a (B, k) batch of sets."""
-    elements, w, b = _baseline_terms(dist, S, fv)
+def _control_variate(dist: CategoricalDist, S, fv, lr=None) -> np.ndarray:
+    """``uspg_baseline_control_variate`` of each row of a (B, k) batch of
+    sets; ``lr`` is as for ``_baseline_terms``."""
+    elements, w, b = _baseline_terms(dist, S, fv, lr)
     return _score_sum(dist, elements, w * b)
 
 

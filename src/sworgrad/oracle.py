@@ -13,9 +13,12 @@ sets: ``enumerate_unordered`` groups the ordered space by it, and the theorem
 report reads the first-draw posterior and the stochastic sum-and-sample
 conditional means from the same grouping.  ``estimators._estimate``
 evaluates an estimator on a whole space as one batch (one call of the
-estimator table and of the exact kernel), and ``_threshold_pass`` integrates
-the threshold estimators of every set in one quadrature ladder, in calls of
-bounded size, each set with its own stop.
+estimator table and of the exact kernel); the theorem report builds the set
+space's leave-one-out table once per instance and every set-law estimator
+reads it.  ``_threshold_pass`` integrates the threshold estimators of every
+set in one quadrature ladder, in calls of bounded size, each set with its own
+stop; the integrand returns (sets, columns, nodes) arrays, and each chunk is
+summed pairwise along its contiguous node axis.
 
 Given S, the threshold is the largest perturbed log-probability outside S,
 a Gumbel with location log m0 (m0 the mass outside S) and CDF u; each s in
@@ -34,7 +37,7 @@ import numpy as np
 from . import estimators as est
 from .distributions import CategoricalDist, Objective, _index_row, as_objective, from_logits
 from .errors import DomainTooLarge, InvalidConfig, InvalidSampleSize, SpaceTooLarge, SworgradError
-from .setprob import p_set_exact, p_set_integral
+from .setprob import _loo_ratios, p_set_exact, p_set_integral
 
 DOMAIN_CAP = 10**6
 SPACE_CAP = 10**6
@@ -148,8 +151,10 @@ def _strided_sums(func, positions, h, running, strides):
     ``positions`` (a range of grid positions j, at the nodes j * h clipped
     inside (0, 1)), one row per running set.  Each call takes at most
     ``_CHUNK_NODES`` (node, set) pairs: up to ``_CHUNK_NODES`` nodes and as
-    many sets as fit beside them.  So a set's nodes are summed in the same
-    chunks whatever the other sets, and its sums keep their rounding."""
+    many sets as fit beside them.  Each chunk is summed along its last,
+    contiguous node axis, by numpy's pairwise summation, one (set, column)
+    row at a time.  So a set's nodes are summed in the same chunks and the
+    same order whatever the other sets, and its sums keep their rounding."""
     width = max(1, _CHUNK_NODES // len(positions))
     groups = []
     for first in range(0, len(running), width):
@@ -158,7 +163,7 @@ def _strided_sums(func, positions, h, running, strides):
             j = positions[lo:lo + _CHUNK_NODES]
             v = np.clip(np.arange(j.start, j.stop, j.step, dtype=float) * h, _U_CLIP, 1.0 - _U_CLIP)
             vals = func(v, running[first:first + width])
-            sums = [acc + np.sum(vals[::s], axis=0) for acc, s in zip(sums, strides)]
+            sums = [acc + vals[..., ::s].sum(axis=-1) for acc, s in zip(sums, strides)]
         groups.append(sums)
     return [np.concatenate(parts) for parts in zip(*groups)]
 
@@ -169,17 +174,20 @@ def _adaptive_trapezoid(func, tol: float, sets: int):
 
     ``func(nodes, running)`` maps an array of nodes in (0, 1) and the indices
     of the sets still running to integrand values of shape
-    ``(len(nodes), len(running), ...)``; the integrals come back with shape
-    ``(sets, ...)``.  Endpoint values are taken just inside the interval.  A set's node count runs 129, 257,
-    ..., 65537 until its estimate moves by at most ``tol`` times its largest
-    component; a stopped set is no longer evaluated.  At ``_MAX_NODES`` the
-    last estimate is returned even if it has not converged.
+    ``(len(running), ..., len(nodes))``, C-contiguous, so each column's
+    nodes lie next to each other; the integrals come back with shape
+    ``(sets, ...)``.  Endpoint values are taken just inside the interval.  A
+    set's node count runs 129, 257, ..., 65537 until its estimate moves by
+    at most ``tol`` times its largest component; a stopped set is no longer
+    evaluated.  At ``_MAX_NODES`` the last estimate is returned even if it
+    has not converged.
 
     Each rung's estimate is the Richardson extrapolation (cancelling the h^2
     to h^6 terms) of the trapezoid sums at strides 1, 2, 4 and 8.  They are
     kept as running sums: halving h turns the stride-2^j sum into the
-    stride-2^(j+1) one, and only the stride-1 sum gains the new midpoints.
-    So every node is evaluated once per set, and no grid is stored.
+    stride-2^(j+1) one, and only the stride-1 sum gains the new midpoints,
+    each chunk's pairwise sum along the node axis added to it.  So every
+    node is evaluated once per set, and no grid is stored.
     """
     intervals = _START_NODES - 1
     running = np.arange(sets)
@@ -368,6 +376,7 @@ def _threshold_pass(spec, dist, obj, sets, project, tol):
     scale = math.exp(_QUAD_SHIFT)
     log_m0 = np.array([dist.complement_log_mass(S) for S in sets])
     gamma = np.exp(_QUAD_SHIFT + log_p - log_m0[:, None])
+    cols = k if per_coef else 1
 
     def integrand(v, running):
         log_v = np.log(v)
@@ -376,10 +385,12 @@ def _threshold_pass(spec, dist, obj, sets, project, tol):
         w = scale * np.exp((scale - 1.0) * log_v + np.sum(np.log(q), axis=2))
         _, coefs = spec.coefs(dist, sets[running, None], fv[running, None], p_el[running, None] / q)
         out = coefs @ out_map[running]
-        cols = [w[..., None] * (coefs if per_coef else out)]
+        # (sets, columns, nodes): the ladder sums each column along contiguous nodes.
+        vals = np.empty((len(running), cols + want_second, len(v)))
+        np.multiply(w[..., None], coefs if per_coef else out, out=vals[:, :cols].transpose(0, 2, 1))
         if want_second:
-            cols.append((w * np.sum(out * out, axis=2))[..., None])
-        return np.concatenate(cols, axis=2).transpose(1, 0, 2)
+            vals[:, cols] = w * np.sum(out * out, axis=2)
+        return vals
 
     # An overflow, or 0 * inf at a node of weight 0, leaves a total non-finite.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -403,26 +414,31 @@ def _threshold_moments(means, seconds):
 # ---------------------------------------------------------------------------
 # theorem report
 
-def _random_instance(gen, n):
-    logits = gen.normal(0.0, 1.0, n)
+def _random_instance(gen, n, scale=1.0):
+    logits = gen.normal(0.0, scale, n)
     f = gen.normal(0.0, 1.0, n)
     return from_logits(logits), f
 
 
-def theorem_report(n: int, k: int, cases: int, seed: int) -> dict:
+def theorem_report(n: int, k: int, cases: int, seed: int, scale: float = 1.0) -> dict:
     """Run every identity check on random instances; JSON-ready report.
 
-    Each check records its worst error across instances and whether it stayed
-    within tolerance.  Checks of estimators that need more samples than k
-    (the baselines and stochastic sum-and-sample need two, its split m = 2
+    Each instance draws its logits i.i.d. normal with standard deviation
+    ``scale``; a larger scale gives lower-entropy instances.  Each check
+    records its worst error across instances and whether it stayed within
+    tolerance.  Checks of estimators that need more samples than k (the
+    baselines and stochastic sum-and-sample need two, its split m = 2
     three) or a larger domain than n (deterministic sum-and-sample draws
-    two) are left out.  Raises InvalidConfig for fewer than one case: a
-    report over no instance would pass every check it did not run.
+    two) are left out.  Raises InvalidConfig for fewer than one case (a
+    report over no instance would pass every check it did not run) and for
+    a scale that is not finite and positive.
     """
     if not 1 <= k <= n:
         raise InvalidSampleSize(f"k={k} outside [1, {n}]")
     if cases < 1:
         raise InvalidConfig(f"cases must be at least 1, got {cases}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise InvalidConfig(f"scale must be finite and positive, got {scale}")
     gen = np.random.default_rng(seed)
     errs: dict = {}
 
@@ -431,7 +447,7 @@ def theorem_report(n: int, k: int, cases: int, seed: int) -> dict:
         rec["max_abs_err"] = max(rec["max_abs_err"], float(value))
 
     for _ in range(cases):
-        dist, f = _random_instance(gen, n)
+        dist, f = _random_instance(gen, n, scale)
         obj = as_objective(f)
         param_grad = gen.normal(0.0, 1.0, (n, n))
         obj_full = Objective(f, param_grad)
@@ -443,10 +459,13 @@ def theorem_report(n: int, k: int, cases: int, seed: int) -> dict:
         # Each space is enumerated once and every estimator on it runs as
         # one batch; the outputs follow the rows of the space.  Grouping the
         # ordered space by set gives the sets in the set space's row order.
+        # The set-law estimators share one leave-one-out table; the
+        # reference probabilities come from the enumeration alone.
         set_points, set_probs = enumerate_unordered(dist, k)
         ordered_points, ordered_probs = enumerate_ordered(dist, k)
+        set_lr = _loo_ratios(dist, set_points, set_points, 2 if k >= 2 else 1)
 
-        us_vals = est._estimate(est.estimator_spec(est.UNORDERED_SET), dist, set_points, obj)
+        us_vals = est._estimate(est.estimator_spec(est.UNORDERED_SET), dist, set_points, obj, set_lr)
         mean_us, var_us = _moments_from_entries(us_vals, set_probs)
         track("unordered-set-unbiased", 1e-9, abs(mean_us - exact_e))
 
@@ -465,13 +484,13 @@ def theorem_report(n: int, k: int, cases: int, seed: int) -> dict:
         ):
             if eid == est.UNORDERED_SET_PG_BL and k < 2:
                 continue
-            values = est._estimate(est.estimator_spec(eid), dist, set_points, objective)
+            values = est._estimate(est.estimator_spec(eid), dist, set_points, objective, set_lr)
             mean, _ = _moments_from_entries(values, set_probs)
             track(name, 1e-9, np.max(np.abs(mean - exact)))
 
         if k >= 2:
             set_f = obj.values_at(set_points).reshape(set_points.shape)
-            cv = est._control_variate(dist, set_points, set_f)
+            cv = est._control_variate(dist, set_points, set_f, set_lr)
             cv_mean = np.sum(set_probs[:, None] * cv, axis=0) / math.fsum(set_probs)
             track("control-variate-zero-mean", 1e-10, np.max(np.abs(cv_mean)))
 
@@ -521,9 +540,9 @@ def theorem_report(n: int, k: int, cases: int, seed: int) -> dict:
         log_chain = math.log(_set_prob_by_orderings(dist, S_rand))
         log_exact = p_set_exact(dist, S_rand)
         log_integral = p_set_integral(dist, S_rand)
-        scale = max(abs(log_chain), abs(log_exact), abs(log_integral), 1.0)
-        track("set-probability-backends-agree", 1e-8, abs(log_chain - log_exact) / scale)
-        track("set-probability-backends-agree", 1e-8, abs(log_exact - log_integral) / scale)
+        size = max(abs(log_chain), abs(log_exact), abs(log_integral), 1.0)
+        track("set-probability-backends-agree", 1e-8, abs(log_chain - log_exact) / size)
+        track("set-probability-backends-agree", 1e-8, abs(log_exact - log_integral) / size)
 
     checks = [
         {
@@ -534,9 +553,13 @@ def theorem_report(n: int, k: int, cases: int, seed: int) -> dict:
         }
         for name, rec in sorted(errs.items())
     ]
+    config = {"n": n, "k": k, "cases": cases, "seed": seed}
+    if scale != 1.0:
+        # Reports at the default scale keep their earlier bytes.
+        config["scale"] = scale
     return {
         "schema_version": 1,
-        "config": {"n": n, "k": k, "cases": cases, "seed": seed},
+        "config": config,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }

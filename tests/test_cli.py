@@ -70,7 +70,7 @@ class TestCheck:
         assert report["config"] == {"n": 4, "k": 2, "cases": 3, "seed": 0}
 
     def test_failed_check_exits_two(self, monkeypatch, tmp_path):
-        def fake_report(n, k, cases, seed):
+        def fake_report(n, k, cases, seed, scale):
             return {"schema_version": 1, "checks": [], "all_passed": False}
 
         monkeypatch.setattr(oracle, "theorem_report", fake_report)
@@ -82,6 +82,29 @@ class TestCheck:
         assert _run(["check", "--n", "4", "--k", "2", "--cases", str(cases)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: cases must be at least 1, got {cases}\n"
+        assert captured.out == ""
+
+    def test_unit_scale_keeps_the_bytes(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["check", "--n", "4", "--k", "2", "--cases", "3", "--seed", "0"]
+        assert _run(argv + ["--out", str(a)]) == 0
+        assert _run(argv + ["--scale", "1", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_scale_20_reports_its_scale(self, tmp_path):
+        """The low-entropy instances fail identities of ROADMAP items 2 and
+        4 (pinned in test_oracle.py::TestScale): exit 2, not 1."""
+        out = tmp_path / "report.json"
+        argv = ["check", "--n", "4", "--k", "2", "--cases", "3", "--seed", "0", "--scale", "20"]
+        assert _run(argv + ["--out", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["config"] == {"n": 4, "k": 2, "cases": 3, "seed": 0, "scale": 20.0}
+
+    @pytest.mark.parametrize("scale", ["0", "-2", "nan", "inf"])
+    def test_bad_scale_is_error(self, capsys, scale):
+        assert _run(["check", "--cases", "1", "--scale", scale]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: scale must be finite and positive, got {float(scale)}\n"
         assert captured.out == ""
 
     def test_sample_size_out_of_range_is_error(self, capsys):

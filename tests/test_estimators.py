@@ -279,6 +279,32 @@ class TestFullUspg:
         with pytest.raises(NoPathwiseGradient):
             sg.fuspg(running_dist, (0, 1), running_f)
 
+    def test_one_coefs_call_gives_the_two_call_bits(self, monkeypatch):
+        """The weights at f = 1 times f are the coefs at f, bit for bit, so
+        ``fuspg`` builds its leave-one-out table once."""
+        spec = est.ESTIMATORS[est.FULL_UNORDERED_SET_PG]
+        calls = []
+        loo = est._loo_ratios
+        monkeypatch.setattr(est, "_loo_ratios", lambda *args: calls.append(args) or loo(*args))
+        gen = np.random.default_rng(31)
+        for _ in range(20):
+            n = int(gen.integers(3, 7))
+            d = random_dist(gen, n)
+            obj = Objective(gen.normal(0, 1, n), gen.normal(0, 1, (n, n)))
+            S = np.sort(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))
+            calls.clear()
+            got = sg.fuspg(d, S, obj).grad
+            assert len(calls) == 1
+            # The two-call form: the coefs at f give the score term, the
+            # coefs at f = 1 the pathwise term's weights.
+            rows = S[None]
+            elements, coefs = spec.coefs(d, rows, obj.values_at(rows).reshape(rows.shape), None)
+            want = est._score_sum(d, elements, coefs)
+            _, w = spec.coefs(d, rows, np.ones(rows.shape), None)
+            for col, ws in zip(elements.T, w.T):
+                want = want + ws[:, None] * np.array([obj.param_grad_at(s) for s in col.tolist()])
+            assert got.tobytes() == want[0].tobytes()
+
 
 class TestReinforceWithReplacement:
     def test_constant_objective_vanishes_with_baseline(self, running_dist):
