@@ -348,9 +348,8 @@ class _Counted:
         return np.sort(np.concatenate([v for v, r in zip(self.calls, self.sets) if s in r]))
 
 
-def _first_integrand(monkeypatch, call):
-    """The integrand and tolerance of the first ladder that ``call`` runs,
-    on that ladder's first set alone."""
+def _ladder_integrand(monkeypatch, call):
+    """The integrand and tolerance of the first ladder that ``call`` runs."""
     seen = []
     ladder = oracle._adaptive_trapezoid
 
@@ -361,7 +360,13 @@ def _first_integrand(monkeypatch, call):
     with monkeypatch.context() as m:
         m.setattr(oracle, "_adaptive_trapezoid", capture)
         call()
-    func, tol = seen[0]
+    return seen[0]
+
+
+def _first_integrand(monkeypatch, call):
+    """``_ladder_integrand`` on that ladder's first set alone, as a
+    (nodes, columns) array."""
+    func, tol = _ladder_integrand(monkeypatch, call)
     return (lambda v: func(v, np.arange(1))[0].T), tol
 
 
@@ -482,21 +487,6 @@ class TestThresholdQuadrature:
                     assert abs(mean / p - oracle.conditional_iw_mean(dist, S, obj)) <= 1e-12
 
 
-def _pass_integrand(monkeypatch, spec, dist, obj, sets):
-    """The integrand of ``_threshold_pass`` over ``sets``, unprojected."""
-    seen = []
-    ladder = oracle._adaptive_trapezoid
-
-    def capture(func, tol, *args):
-        seen.append(func)
-        return ladder(func, tol, *args)
-
-    with monkeypatch.context() as m:
-        m.setattr(oracle, "_adaptive_trapezoid", capture)
-        oracle._threshold_pass(spec, dist, obj, sets, None, oracle._QUAD_TOL)
-    return seen[0]
-
-
 _SHARED_CASES = [(3, 3), (4, 1), (4, 2), (5, 3), (6, 3)]
 
 
@@ -549,10 +539,13 @@ class TestSharedWork:
     @pytest.mark.parametrize("eid", [est.IMPORTANCE_WEIGHTED, est.IW_PG])
     def test_a_set_sums_alone_as_among_others(self, monkeypatch, eid):
         """Seven running sets share the first rung and a 512-node rung in one
-        call each; a 8192-node rung goes a set at a time, in two chunks."""
+        call each; an 8192-node rung goes a set at a time, in two chunks."""
         dist, f = oracle._random_instance(np.random.default_rng(8), 5)
         sets = oracle.enumerate_unordered(dist, 3)[0][:7]
-        func = _pass_integrand(monkeypatch, est.ESTIMATORS[eid], dist, as_objective(f), sets)
+        spec, obj = est.ESTIMATORS[eid], as_objective(f)
+        func, _ = _ladder_integrand(
+            monkeypatch, lambda: oracle._threshold_pass(spec, dist, obj, sets, None, oracle._QUAD_TOL)
+        )
         rungs = [
             (range(129), 1.0 / 128, (1, 2, 4, 8, 128)),
             (range(1, 1024, 2), 1.0 / 1024, (1,)),
